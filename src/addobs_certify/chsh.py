@@ -31,13 +31,15 @@ from .structure import (
     EPS_ZERO,
     AdditiveStructure,
     DensityMatrix,
-    TextureError,
     _check_dims,
     _matrix_of,
-    validate_additivity,
+    _valid_scan,
 )
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+#: Relative margin within which vectorized closed-form values are re-ranked
+#: by the scalar closed form (the two agree to a few ulps).
+_RANK_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,12 +167,6 @@ class ChshCertificate:
     observables: ChshObservables
 
 
-def _require_texture(mat: np.ndarray, s: AdditiveStructure, tol: float) -> None:
-    violations = validate_additivity(mat, s, tol)
-    if violations:
-        raise TextureError(violations)
-
-
 def _is_nondegenerate_pair(s: AdditiveStructure, m: int, p: int) -> bool:
     return (
         s.alice_deg(s.j_alice[m]) == 1 and s.bob_deg(s.j_bob[p]) == 1
@@ -180,34 +176,23 @@ def _is_nondegenerate_pair(s: AdditiveStructure, m: int, p: int) -> bool:
 def find_anchor_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> list[AnchorEntry]:
     """All anchor entries above ``tol``, scanned in ascending flat order.
 
-    Each unordered position pair contributes at most one anchor. When the
-    upper-triangle orientation has a degenerate column pair but the row
-    pair (M0, P0) is non-degenerate, the conjugate entry takes over the
-    anchor role.
+    Anchors are the crossed entries with a non-degenerate column or row
+    pair; each unordered position pair contributes at most one anchor.
+    When the upper-triangle orientation has a degenerate column pair but
+    the row pair (M0, P0) is non-degenerate, the conjugate entry takes over
+    the anchor role.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    _require_texture(mat, s, tol)
-
-    anchors: list[AnchorEntry] = []
-    rows, cols = np.nonzero(np.abs(mat) > tol)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        if row >= col:
-            continue
-        m, p = s.split_index(row)
-        n, q = s.split_index(col)
-        if m == n or p == q:
-            continue
-        if (
-            abs(s.j_alice[m] - s.j_alice[n]) <= s.eps_j
-            or abs(s.j_bob[p] - s.j_bob[q]) <= s.eps_j
-        ):
-            continue  # equal eigenvalues on either side: within-sector entry, not crossed
-        if _is_nondegenerate_pair(s, n, q):
-            anchors.append(AnchorEntry(m, p, n, q, complex(mat[row, col])))
-        elif _is_nondegenerate_pair(s, m, p):
-            anchors.append(AnchorEntry(n, q, m, p, complex(mat[col, row])))
-    return anchors
+    mat, scan = _valid_scan(rho, s, tol)
+    keep = scan.anchor_forward | scan.anchor_conjugate
+    forward = scan.anchor_forward[keep]
+    rows, cols = scan.crossed_rows[keep], scan.crossed_cols[keep]
+    rows, cols = np.where(forward, rows, cols), np.where(forward, cols, rows)
+    values = mat[rows, cols].tolist()
+    d_b = s.d_b
+    return [
+        AnchorEntry(row // d_b, row % d_b, col // d_b, col % d_b, value)
+        for row, col, value in zip(rows.tolist(), cols.tolist(), values)
+    ]
 
 
 def reorder_basis(anchor: AnchorEntry, s: AdditiveStructure) -> BasisReordering:
@@ -321,8 +306,13 @@ def _validate_anchor(anchor: AnchorEntry, s: AdditiveStructure) -> None:
             raise ValueError(f"anchor Bob index {idx} out of range")
     if not (s.on_shell(m, p) and s.on_shell(n, q)):
         raise ValueError("anchor pairs must lie on the J shell")
-    if abs(s.j_alice[m] - s.j_alice[n]) <= s.eps_j or abs(s.j_bob[p] - s.j_bob[q]) <= s.eps_j:
-        raise ValueError("anchor must be a crossed entry (distinct eigenvalues per party)")
+    # crossed (M+Q != J) in either orientation: conjugate anchors were found
+    # crossed from the upper-triangle entry, whose (M, Q) is (N0, P0) here
+    if (
+        abs(s.label_sum(m, q) - s.j_total) <= s.eps_j
+        and abs(s.label_sum(n, p) - s.j_total) <= s.eps_j
+    ):
+        raise ValueError("anchor must be a crossed entry (M0+Q0 != J)")
     if not _is_nondegenerate_pair(s, n, q):
         raise ValueError("anchor column labels (N0, Q0) must be non-degenerate")
 
@@ -485,9 +475,25 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
     ascending flat order and ties in the maximum keep the first.
     """
     anchors = find_anchor_entries(rho, s, tol)
+    if not anchors:
+        return None
+    # closed form of every anchor at once, from |a| and diagonal entries:
+    # <Oz> = D[n0,q0] + sum_m D[m,p0] - D[n0,p0] with D = diag(rho) as d_a x d_b
+    mat = _matrix_of(rho)
+    d_b = s.d_b
+    diag = mat.diagonal().real.reshape(s.d_a, d_b)
+    m0, p0, n0, q0 = np.array([(a.m0, a.p0, a.n0, a.q0) for a in anchors]).T
+    a_abs = np.abs(mat[m0 * d_b + p0, n0 * d_b + q0])
+    oz = diag[n0, q0] + diag.sum(axis=0)[p0] - diag[n0, p0]
+    f_all = 2.0 * (1.0 + np.hypot(2.0 * a_abs, oz) - oz)
+    # The scalar closed form sums in another order (values differ by a few
+    # ulps): it re-ranks every anchor within a rounding margin of the top, so
+    # the kept certificate is exactly the one a scalar scan would keep.
+    top = float(f_all.max())
+    near_top = ~(f_all < top - _RANK_MARGIN * max(1.0, abs(top)))
     best: ChshCertificate | None = None
-    for anchor in anchors:
-        cert = f_max_closed_form(rho, anchor, s)
+    for k in np.flatnonzero(near_top).tolist():
+        cert = f_max_closed_form(rho, anchors[k], s)
         if best is None or cert.f_max > best.f_max:
             best = cert
     return best

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,17 +67,22 @@ def _require(condition: bool, message: str) -> None:
         raise DocumentError(message)
 
 
+#: JSON number types. Exact type checks, because ``bool`` subclasses ``int``
+#: and a JSON ``true`` is not a number.
+_NUMBER_TYPES = (int, float)
+
+
 def _parse_entry(entry) -> complex:
     if isinstance(entry, dict):
         _require(set(entry) <= {"re", "im"}, f"unexpected keys in matrix entry: {sorted(entry)}")
         re = entry.get("re", 0.0)
         im = entry.get("im", 0.0)
         _require(
-            isinstance(re, (int, float)) and isinstance(im, (int, float)),
+            type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES,
             "matrix entry re/im must be numbers",
         )
         return complex(re, im)
-    if isinstance(entry, (int, float)):
+    if type(entry) in _NUMBER_TYPES:
         return complex(entry)
     raise DocumentError(f"matrix entries must be numbers or re/im objects, got {type(entry).__name__}")
 
@@ -100,14 +106,14 @@ def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
     for key in ("dimA", "dimB", "jA", "jB", "jTotal", "matrix"):
         _require(key in data, f"missing key {key!r}")
     d_a, d_b = data["dimA"], data["dimB"]
-    _require(isinstance(d_a, int) and d_a >= 1, "dimA must be a positive integer")
-    _require(isinstance(d_b, int) and d_b >= 1, "dimB must be a positive integer")
+    _require(type(d_a) is int and d_a >= 1, "dimA must be a positive integer")
+    _require(type(d_b) is int and d_b >= 1, "dimB must be a positive integer")
     j_a, j_b = data["jA"], data["jB"]
     _require(isinstance(j_a, list) and len(j_a) == d_a, "jA must be a list of length dimA")
     _require(isinstance(j_b, list) and len(j_b) == d_b, "jB must be a list of length dimB")
     labels = [*j_a, *j_b, data["jTotal"]]
     _require(
-        all(isinstance(v, (int, float)) for v in labels), "eigenvalue labels must be numbers"
+        all(type(v) in _NUMBER_TYPES for v in labels), "eigenvalue labels must be numbers"
     )
     _require(np.isfinite(labels).all(), "eigenvalue labels must be finite")
 
@@ -223,12 +229,26 @@ def cmd_validate(args) -> int:
 
 def _parse_grid(spec: str) -> tuple[int, int]:
     try:
-        n_theta, n_phi = spec.lower().split("x")
-        return int(n_theta), int(n_phi)
+        n_theta, n_phi = (int(n) for n in spec.lower().split("x"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"--grid expects <nTheta>x<nPhi>, got {spec!r}"
         ) from exc
+    if n_theta < 2 or n_phi < 2:
+        raise argparse.ArgumentTypeError(f"--grid needs both sizes at least 2, got {spec!r}")
+    return n_theta, n_phi
+
+
+def _parse_zero_tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"--zero-tol expects a number, got {text!r}") from exc
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"--zero-tol must be finite and nonnegative, got {text!r}"
+        )
+    return value
 
 
 def cmd_certify(args) -> int:
@@ -425,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_validate.add_argument("path", help="state document (JSON)")
     p_validate.add_argument(
-        "--zero-tol", type=float, default=EPS_ZERO,
+        "--zero-tol", type=_parse_zero_tol, default=EPS_ZERO,
         help="threshold below which entries count as vanishing",
     )
     p_validate.set_defaults(func=cmd_validate)
@@ -435,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_certify.add_argument("path", help="state document (JSON)")
     p_certify.add_argument(
-        "--zero-tol", type=float, default=EPS_ZERO,
+        "--zero-tol", type=_parse_zero_tol, default=EPS_ZERO,
         help="threshold below which entries count as vanishing",
     )
     p_certify.add_argument(

@@ -26,13 +26,12 @@ from .structure import (
     DensityMatrix,
     Sector,
     SectorBlock,
-    TextureError,
     _check_dims,
     _matrix_of,
+    _valid_scan,
     build_sectors,
     min_pt_eigenvalue,
     pt_block_decomposition,
-    validate_additivity,
 )
 
 
@@ -94,25 +93,16 @@ def find_crossed_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> li
     ``TextureError`` otherwise. Entries are reported in ascending flat
     (row, col) order with the upper-triangle orientation.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    violations = validate_additivity(mat, s, tol)
-    if violations:
-        raise TextureError(violations)
-
-    entries: list[CrossedEntry] = []
-    rows, cols = np.nonzero(np.abs(mat) > tol)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        if row >= col:
-            continue
-        m, p = s.split_index(row)
-        n, q = s.split_index(col)
-        if abs(s.j_alice[m] + s.j_bob[q] - s.j_total) <= s.eps_j:
-            continue  # column pair on shell: an ordinary within-sector entry
-        entries.append(
-            CrossedEntry(alice=(m, n), bob=(p, q), value=complex(mat[row, col]), row=row, col=col)
+    mat, scan = _valid_scan(rho, s, tol)
+    rows, cols = scan.crossed_rows.tolist(), scan.crossed_cols.tolist()
+    values = mat[scan.crossed_rows, scan.crossed_cols].tolist()
+    d_b = s.d_b
+    return [
+        CrossedEntry(
+            alice=(row // d_b, col // d_b), bob=(row % d_b, col % d_b), value=value, row=row, col=col
         )
-    return entries
+        for row, col, value in zip(rows, cols, values)
+    ]
 
 
 def classify_sectors(s: AdditiveStructure) -> list[SectorClass]:

@@ -34,22 +34,6 @@ def as_square_matrix(a) -> np.ndarray:
     return mat
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    mat_a = as_square_matrix(a)
-    mat_b = as_square_matrix(b)
-    if mat_a.shape != mat_b.shape:
-        raise ValueError(
-            f"dimension mismatch: {mat_a.shape[0]} vs {mat_b.shape[0]}"
-        )
-    return mat_a @ mat_b
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal entries."""
-    return complex(np.trace(as_square_matrix(a)))
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the flat-index convention (m, p) -> m*dB + p.
 
@@ -63,10 +47,6 @@ def hermiticity_defect(a) -> float:
     """Largest entrywise distance from ``a`` to its conjugate transpose."""
     mat = as_square_matrix(a)
     return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-
-
-def is_hermitian(a, tol: float = EPS_HERM) -> bool:
-    return hermiticity_defect(a) <= tol
 
 
 def eigenvalues_hermitian(h, herm_tol: float = EPS_HERM) -> np.ndarray:

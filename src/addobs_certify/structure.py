@@ -19,8 +19,10 @@ blocks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,34 +275,92 @@ class TextureViolation:
     col_label_sum: float
 
 
+class _TextureScan(NamedTuple):
+    """Every above-tolerance entry of a matrix, classified in one pass.
+
+    ``violations`` lists the entries off the shell in ascending flat
+    (row, col) order. The remaining arrays describe the crossed entries
+    (upper triangle, M+Q != J) in the same order, with the anchor rule
+    applied per entry: ``anchor_forward`` when the column pair (N, Q) is
+    non-degenerate, ``anchor_conjugate`` when only the row pair (M, P) is,
+    in which case the conjugate entry rho[(n,q),(m,p)] is the anchor.
+    """
+
+    violations: list[TextureViolation]
+    crossed_rows: np.ndarray
+    crossed_cols: np.ndarray
+    anchor_forward: np.ndarray
+    anchor_conjugate: np.ndarray
+
+
+def _nondegenerate(groups, size: int) -> np.ndarray:
+    """Per-index flags: the index is alone in its label group."""
+    flags = np.zeros(size, dtype=bool)
+    flags[[idx[0] for _, idx in groups if len(idx) == 1]] = True
+    return flags
+
+
+def _scan_texture(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarray, _TextureScan]:
+    """The matrix of ``rho`` and the classification of its entries above ``zero_tol``."""
+    mat = _matrix_of(rho)
+    _check_dims(mat, s)
+    if not (math.isfinite(zero_tol) and zero_tol >= 0.0):
+        raise ValueError(f"zero_tol must be finite and nonnegative, got {zero_tol!r}")
+    d_b = s.d_b
+    sums = np.add.outer(s.j_alice, s.j_bob).ravel()
+    shell = np.abs(sums - s.j_total) <= s.eps_j
+    flat = np.flatnonzero(np.abs(mat) > zero_tol)
+    rows, cols = np.divmod(flat, s.dim)
+    valid = shell[rows] & shell[cols]
+
+    violations = []
+    if not valid.all():
+        bad = ~valid
+        violations = [
+            TextureViolation(
+                row=row,
+                col=col,
+                alice_row=row // d_b,
+                bob_row=row % d_b,
+                alice_col=col // d_b,
+                bob_col=col % d_b,
+                value=value,
+                row_label_sum=float(sums[row]),
+                col_label_sum=float(sums[col]),
+            )
+            for row, col, value in zip(
+                rows[bad].tolist(), cols[bad].tolist(), mat.ravel()[flat[bad]].tolist()
+            )
+        ]
+
+    # crossed: upper triangle, both pairs on the shell, the pair (m, q) off it
+    m_q = rows - rows % d_b + cols % d_b
+    crossed = valid & ~shell[m_q] & (rows < cols)
+    rows, cols = rows[crossed], cols[crossed]
+    nondeg = np.logical_and.outer(
+        _nondegenerate(s.alice_groups, s.d_a), _nondegenerate(s.bob_groups, s.d_b)
+    ).ravel()
+    forward = nondeg[cols]
+    conjugate = ~forward & nondeg[rows]
+    return mat, _TextureScan(violations, rows, cols, forward, conjugate)
+
+
+def _valid_scan(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarray, _TextureScan]:
+    """``_scan_texture`` for a texture-valid input; raises ``TextureError`` otherwise."""
+    mat, scan = _scan_texture(rho, s, zero_tol)
+    if scan.violations:
+        raise TextureError(scan.violations)
+    return mat, scan
+
+
 def validate_additivity(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -> list[TextureViolation]:
     """Every entry above ``zero_tol`` whose labels violate M+P = J or N+Q = J.
 
     An empty list certifies that the matrix has the texture required by the
-    definite total value (within the tolerances).
+    definite total value (within the tolerances). ``zero_tol`` must be
+    finite and nonnegative.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    violations = []
-    for row, col in np.argwhere(np.abs(mat) > zero_tol):
-        m, p = s.split_index(int(row))
-        n, q = s.split_index(int(col))
-        if s.on_shell(m, p) and s.on_shell(n, q):
-            continue
-        violations.append(
-            TextureViolation(
-                row=int(row),
-                col=int(col),
-                alice_row=m,
-                bob_row=p,
-                alice_col=n,
-                bob_col=q,
-                value=complex(mat[row, col]),
-                row_label_sum=s.label_sum(m, p),
-                col_label_sum=s.label_sum(n, q),
-            )
-        )
-    return violations
+    return _scan_texture(rho, s, zero_tol)[1].violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,12 +425,7 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
     blocks reconstruct rho^{T2} exactly; sector blocks carry the whole
     trace, cross blocks are traceless.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    violations = validate_additivity(mat, s, zero_tol)
-    if violations:
-        raise TextureError(violations)
-
+    mat, _ = _valid_scan(rho, s, zero_tol)
     pt = partial_transpose(mat, s.d_a, s.d_b)
     sectors = build_sectors(s)
     by_key = {sec.key: sec for sec in sectors}

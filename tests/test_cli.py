@@ -231,3 +231,52 @@ class TestParsing:
         mat = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         path = write_doc(tmp_path / "npsd.json", (0.5, -0.5), (0.5, -0.5), 1.0, mat)
         assert cli.main(["validate", str(path)]) == 2
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("command", ["validate", "certify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "tiny"])
+    def test_bad_zero_tol_is_usage_error(self, bell_doc, command, tol, capsys):
+        assert cli.main([command, bell_doc, f"--zero-tol={tol}"]) == 1
+        assert "--zero-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "certify"])
+    def test_zero_tol_zero_accepted(self, bell_doc, command):
+        assert cli.main([command, bell_doc, "--zero-tol", "0"]) == 0
+
+    @pytest.mark.parametrize("spec", ["1x1", "1x64", "64x1", "0x0", "-4x8"])
+    def test_grid_below_two_is_usage_error(self, bell_doc, diagonal_doc, spec, capsys):
+        # rejected at parse time, also when the state has no anchor to check
+        assert cli.main(["certify", bell_doc, "--grid", spec]) == 1
+        assert cli.main(["certify", diagonal_doc, "--grid", spec]) == 1
+        assert "--grid" in capsys.readouterr().err
+
+    def test_smallest_grid_accepted(self, bell_doc):
+        assert cli.main(["certify", bell_doc, "--grid", "2x2"]) == 0
+
+
+BOOLEAN_DOCS = {
+    "dims_and_entry": {"dimA": True, "dimB": True, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[True]]},
+    "dim": {"dimA": True, "dimB": 1, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[1]]},
+    "label": {"dimA": 1, "dimB": 1, "jA": [False], "jB": [0], "jTotal": 0, "matrix": [[1]]},
+    "total": {"dimA": 1, "dimB": 1, "jA": [0], "jB": [0], "jTotal": False, "matrix": [[1]]},
+    "plain_entry": {"dimA": 1, "dimB": 1, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[True]]},
+    "re": {"dimA": 1, "dimB": 1, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[{"re": True}]]},
+    "im": {"dimA": 1, "dimB": 1, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[{"re": 1, "im": False}]]},
+}
+
+
+class TestJsonBooleans:
+    @pytest.mark.parametrize("command", ["validate", "certify"])
+    @pytest.mark.parametrize("name", sorted(BOOLEAN_DOCS))
+    def test_booleans_rejected(self, tmp_path, command, name, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(BOOLEAN_DOCS[name]))
+        assert cli.main([command, str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_integer_document_accepted(self, tmp_path):
+        doc = {"dimA": 1, "dimB": 1, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[1]]}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", str(path)]) == 0

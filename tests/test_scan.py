@@ -1,0 +1,264 @@
+"""Property tests of the single texture scan against per-entry references.
+
+The references below walk the above-tolerance entries one at a time, with
+the label predicates spelled out per entry; the package classifies all
+entries in one vectorized pass and must agree with them exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addobs_certify.chsh import (
+    TSIRELSON_BOUND,
+    AnchorEntry,
+    certify_nonlocality,
+    f_max_closed_form,
+    find_anchor_entries,
+)
+from addobs_certify.entanglement import CrossedEntry, find_crossed_entries
+from addobs_certify.higgs_zz import HIGGS_STRUCTURE
+from addobs_certify.structure import (
+    AdditiveStructure,
+    DensityMatrix,
+    TextureError,
+    TextureViolation,
+    pt_block_decomposition,
+    validate_additivity,
+)
+
+# --- per-entry references ---
+
+
+def reference_violations(mat, s, tol):
+    out = []
+    for row, col in np.argwhere(np.abs(mat) > tol):
+        m, p = s.split_index(int(row))
+        n, q = s.split_index(int(col))
+        if s.on_shell(m, p) and s.on_shell(n, q):
+            continue
+        out.append(
+            TextureViolation(
+                row=int(row), col=int(col), alice_row=m, bob_row=p, alice_col=n, bob_col=q,
+                value=complex(mat[row, col]),
+                row_label_sum=s.label_sum(m, p), col_label_sum=s.label_sum(n, q),
+            )
+        )
+    return out
+
+
+def reference_crossed(mat, s, tol):
+    out = []
+    rows, cols = np.nonzero(np.abs(mat) > tol)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        if row >= col:
+            continue
+        m, p = s.split_index(row)
+        n, q = s.split_index(col)
+        if abs(s.j_alice[m] + s.j_bob[q] - s.j_total) <= s.eps_j:
+            continue
+        out.append(CrossedEntry(alice=(m, n), bob=(p, q), value=complex(mat[row, col]), row=row, col=col))
+    return out
+
+
+def _nondegenerate(s, m, p):
+    return s.alice_deg(s.j_alice[m]) == 1 and s.bob_deg(s.j_bob[p]) == 1
+
+
+def reference_anchors(mat, s, tol):
+    out = []
+    rows, cols = np.nonzero(np.abs(mat) > tol)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        if row >= col:
+            continue
+        m, p = s.split_index(row)
+        n, q = s.split_index(col)
+        if m == n or p == q:
+            continue
+        if (
+            abs(s.j_alice[m] - s.j_alice[n]) <= s.eps_j
+            or abs(s.j_bob[p] - s.j_bob[q]) <= s.eps_j
+        ):
+            continue
+        if _nondegenerate(s, n, q):
+            out.append(AnchorEntry(m, p, n, q, complex(mat[row, col])))
+        elif _nondegenerate(s, m, p):
+            out.append(AnchorEntry(n, q, m, p, complex(mat[col, row])))
+    return out
+
+
+def reference_certificate(rho, s, tol):
+    best = None
+    for anchor in find_anchor_entries(rho, s, tol):
+        cert = f_max_closed_form(rho, anchor, s)
+        if best is None or cert.f_max > best.f_max:
+            best = cert
+    return best
+
+
+# --- generated systems ---
+
+#: Label jitter far inside ``EPS_J``: equal labels stay equal within the
+#: tolerance, and distinct ones (multiples of 1/2) stay far apart.
+JITTER = 2e-10
+
+
+@st.composite
+def structures(draw):
+    """Label sets on a half-integer grid; most Bob labels pair with an Alice one on the shell."""
+    d_a = draw(st.integers(1, 4))
+    d_b = draw(st.integers(1, 5))
+    grid = st.integers(-4, 4)
+    ja = [0.5 * v for v in draw(st.lists(grid, min_size=d_a, max_size=d_a))]
+    total = 0.5 * draw(grid)
+    partner = st.sampled_from([total - v for v in ja])
+    jb = draw(st.lists(st.one_of(partner, partner, grid.map(lambda v: 0.5 * v)), min_size=d_b, max_size=d_b))
+    if draw(st.booleans()):
+        jitter = st.floats(-JITTER, JITTER)
+        ja = [v + draw(jitter) for v in ja]
+        jb = [v + draw(jitter) for v in jb]
+    if not any(abs(a + b - total) <= 1e-9 for a in ja for b in jb):
+        jb[0] = total - ja[0]
+    return AdditiveStructure(tuple(ja), tuple(jb), total)
+
+
+@st.composite
+def anchored_structures(draw):
+    """``structures`` plus one new label per party forming a non-degenerate shell pair.
+
+    Every shell pair already present has a different Alice label, so the
+    entry joining it to the new pair is a crossed anchor position.
+    """
+    s = draw(structures())
+    free = [
+        0.5 * v for v in range(-12, 13)
+        if all(abs(0.5 * v - a) > 0.25 for a in s.j_alice)
+        and all(abs(s.j_total - 0.5 * v - b) > 0.25 for b in s.j_bob)
+    ]
+    x = draw(st.sampled_from(free))
+    ja, jb = list(s.j_alice), list(s.j_bob)
+    ja.insert(draw(st.integers(0, len(ja))), x)
+    jb.insert(draw(st.integers(0, len(jb))), s.j_total - x)
+    return AdditiveStructure(tuple(ja), tuple(jb), s.j_total)
+
+
+def shell_state(rng, s, rank=None):
+    """Random density matrix supported on the shell, as a dense array."""
+    flats = list(s.shell_flats)
+    k = len(flats)
+    g = rng.normal(size=(k, rank or k)) + 1j * rng.normal(size=(k, rank or k))
+    core = g @ g.conj().T
+    mat = np.zeros((s.dim, s.dim), dtype=complex)
+    mat[np.ix_(flats, flats)] = core / np.trace(core).real
+    return mat
+
+
+@st.composite
+def scan_cases(draw):
+    """A structure, a Hermitian matrix with holes and maybe off-shell entries, a tolerance."""
+    s = draw(st.one_of(structures(), anchored_structures()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = shell_state(rng, s)
+    # knock out entries in Hermitian pairs, so the support is not full
+    holes = np.triu(rng.random((s.dim, s.dim)) < draw(st.sampled_from([0.0, 0.3, 0.7])))
+    mat[holes | holes.T] = 0.0
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            row, col = (int(v) for v in rng.integers(s.dim, size=2))
+            value = complex(rng.normal(), rng.normal()) if row != col else complex(abs(rng.normal()))
+            mat[row, col] = value
+            mat[col, row] = value.conjugate()
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.05]))
+    return s, mat, tol
+
+
+@st.composite
+def anchored_states(draw):
+    """A density matrix on the shell of a structure with anchor positions."""
+    s = draw(anchored_structures())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.sampled_from([None, 1, 2]))
+    rho = DensityMatrix(shell_state(rng, s, rank))
+    tol = draw(st.sampled_from([1e-12, 1e-3]))
+    return s, rho, tol
+
+
+def _raises_texture(fn, *args):
+    with pytest.raises(TextureError) as info:
+        fn(*args)
+    return info.value.violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_scan_matches_per_entry_reference(case):
+    s, mat, tol = case
+    violations = reference_violations(mat, s, tol)
+    assert validate_additivity(mat, s, tol) == violations
+    if violations:
+        assert _raises_texture(find_crossed_entries, mat, s, tol) == violations
+        assert _raises_texture(find_anchor_entries, mat, s, tol) == violations
+        assert _raises_texture(pt_block_decomposition, mat, s, tol) == violations
+        assert _raises_texture(certify_nonlocality, mat, s, tol) == violations
+        return
+    crossed = find_crossed_entries(mat, s, tol)
+    anchors = find_anchor_entries(mat, s, tol)
+    assert crossed == reference_crossed(mat, s, tol)
+    assert anchors == reference_anchors(mat, s, tol)
+    # every anchor is a crossed entry, in one of its two orientations
+    positions = {(e.row, e.col) for e in crossed}
+    for a in anchors:
+        row, col = a.row(s.d_b), a.col(s.d_b)
+        assert (min(row, col), max(row, col)) in positions
+
+
+@settings(max_examples=100, deadline=None)
+@given(anchored_states())
+def test_certificate_is_first_scalar_maximum(case):
+    s, rho, tol = case
+    expected = reference_certificate(rho, s, tol)
+    cert = certify_nonlocality(rho, s, tol)
+    if expected is None:
+        assert cert is None
+        return
+    assert cert.anchor == expected.anchor
+    assert cert.f_max == expected.f_max
+    assert (cert.theta_opt, cert.phi_opt) == (expected.theta_opt, expected.phi_opt)
+    assert cert.reorder == expected.reorder
+    assert 2.0 < cert.f_max <= TSIRELSON_BOUND + 1e-12  # rounding slack only
+
+
+def test_exact_tie_keeps_first_anchor():
+    # H->ZZ labels, shell flats 2, 4, 6 with weights 1/2, 1/4, 1/4: the
+    # anchors at (2,4) and (2,6) share |a| = 0.2 and <Oz> = 3/4, so their
+    # closed forms tie exactly; their phases differ, and so do the angles
+    s = HIGGS_STRUCTURE
+    mat = np.zeros((9, 9), dtype=complex)
+    mat[2, 2], mat[4, 4], mat[6, 6] = 0.5, 0.25, 0.25
+    mat[2, 4] = 0.2
+    mat[2, 6] = 0.2j
+    mat += np.triu(mat, 1).conj().T
+    rho = DensityMatrix(mat)
+    anchors = find_anchor_entries(rho, s)
+    first, second = (f_max_closed_form(rho, a, s) for a in anchors)
+    assert first.f_max == second.f_max
+    assert first.phi_opt != second.phi_opt
+    cert = certify_nonlocality(rho, s)
+    assert (cert.anchor.row(3), cert.anchor.col(3)) == (2, 4)
+    assert cert.phi_opt == first.phi_opt
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_bad_tolerance_rejected(tol):
+    s = AdditiveStructure((0.5, -0.5), (0.5, -0.5), 0.0)
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[1, 1] = mat[2, 2] = 0.5
+    for fn in (validate_additivity, find_crossed_entries, find_anchor_entries,
+               pt_block_decomposition, certify_nonlocality):
+        with pytest.raises(ValueError, match="zero_tol"):
+            fn(mat, s, tol)
