@@ -73,6 +73,7 @@ _NUMBER_TYPES = (int, float)
 
 
 def _parse_entry(entry) -> complex:
+    """A matrix entry that ``json.load`` did not already make a number."""
     if isinstance(entry, dict):
         _require(set(entry) <= {"re", "im"}, f"unexpected keys in matrix entry: {sorted(entry)}")
         re = entry.get("re", 0.0)
@@ -81,22 +82,56 @@ def _parse_entry(entry) -> complex:
             type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES,
             "matrix entry re/im must be numbers",
         )
-        return complex(re, im)
-    if type(entry) in _NUMBER_TYPES:
-        return complex(entry)
+        try:
+            return complex(re, im)
+        except OverflowError:  # an integer beyond float range
+            raise DocumentError("matrix entries must be finite") from None
     raise DocumentError(f"matrix entries must be numbers or re/im objects, got {type(entry).__name__}")
+
+
+def _entry_hook(obj: dict):
+    """``json`` object hook: a well-formed ``{"re": x, "im": y}`` becomes ``complex``.
+
+    Well-formed means exactly those two keys with ``int`` or ``float``
+    values. Every other object is returned unchanged, for ``_parse_entry``
+    to accept or reject with its own message; the hook never raises.
+    """
+    if len(obj) == 2 and "re" in obj and "im" in obj:
+        re, im = obj["re"], obj["im"]
+        if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES:
+            try:
+                return complex(re, im)
+            except OverflowError:
+                pass
+    return obj
+
+
+#: Row entries taken as they are: hook-made ``complex`` and plain JSON numbers.
+_VALUE_TYPES = frozenset((complex, *_NUMBER_TYPES))
+
+
+def _finite_array(values, dtype, message: str) -> np.ndarray:
+    """``values`` as an array, or ``DocumentError(message)`` unless all finite."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:  # an integer beyond float range
+        raise DocumentError(message) from None
+    _require(bool(np.isfinite(arr).all()), message)
+    return arr
 
 
 def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
     """Parse and validate a state document.
 
-    Raises ``DocumentError`` for parse or shape problems and
+    One ``json.load`` pass turns well-formed entries into numbers; only rows
+    holding anything else go through ``_parse_entry``. Raises
+    ``DocumentError`` for parse or shape problems and
     ``StateValidationError`` when the matrix fails the density-matrix
     invariants.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_hook=_entry_hook)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -115,17 +150,16 @@ def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
     _require(
         all(type(v) in _NUMBER_TYPES for v in labels), "eigenvalue labels must be numbers"
     )
-    _require(np.isfinite(labels).all(), "eigenvalue labels must be finite")
+    _finite_array(labels, float, "eigenvalue labels must be finite")
 
     dim = d_a * d_b
     rows = data["matrix"]
     _require(isinstance(rows, list) and len(rows) == dim, f"matrix must have {dim} rows")
-    mat = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == dim, f"matrix row {i} must have {dim} entries")
-        for j, entry in enumerate(row):
-            mat[i, j] = _parse_entry(entry)
-    _require(bool(np.isfinite(mat).all()), "matrix entries must be finite")
+        if not _VALUE_TYPES.issuperset(map(type, row)):
+            rows[i] = [e if type(e) in _VALUE_TYPES else _parse_entry(e) for e in row]
+    mat = _finite_array(rows, complex, "matrix entries must be finite")
 
     structure = AdditiveStructure(tuple(j_a), tuple(j_b), float(data["jTotal"]))
     return structure, DensityMatrix(mat)

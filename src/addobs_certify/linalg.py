@@ -1,9 +1,10 @@
-"""Dense complex linear algebra for small Hermitian problems.
+"""Dense complex linear algebra for Hermitian problems.
 
 Everything here is a pure function over plain ``numpy`` arrays: inputs are
-never mutated and fresh arrays are returned. Problem sizes are desk-scale
-(dimensions in the tens), so all storage is dense and eigenproblems go
-through LAPACK.
+never mutated and fresh arrays are returned. All storage is dense and
+eigenproblems go through LAPACK. Dimensions run from 4 (two qubits) to
+1024 (a 5|5 spin-1/2 chain cut), where each dense eigensolve is cubic in
+the dimension and dominates the cost of a call.
 """
 
 from __future__ import annotations

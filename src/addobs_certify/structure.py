@@ -216,6 +216,12 @@ class DensityMatrix:
     Slightly negative eigenvalues down to ``-psd_tol`` are accepted, since
     matrices reconstructed from measured entries routinely fail strict
     positivity at that level; anything worse is a hard error.
+
+    Positivity is checked on the nonzero support: rows that are exactly
+    zero (and so, after symmetrization, their columns) only add zero
+    eigenvalues, so the eigensolve runs on the principal submatrix of the
+    other rows (from dim 32 up; smaller matrices are solved whole). A chain
+    state of dim 1024 with 252 nonzero rows solves a 252 x 252 problem.
     """
 
     matrix: np.ndarray
@@ -225,18 +231,23 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = as_square_matrix(self.matrix)
+        if mat.size == 0:
+            raise StateValidationError("density matrix is empty (0 x 0)")
         if not np.isfinite(mat).all():
             raise StateValidationError("density matrix has non-finite entries")
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
+        # one strided pass for the adjoint, laid out C-contiguous so the two
+        # uses below run over contiguous memory (the same values as conj().T)
+        adjoint = np.conjugate(mat.T, order="C")
+        defect = float(np.max(np.abs(mat - adjoint)))
         if defect > self.herm_tol:
             raise StateValidationError(
                 f"not Hermitian: defect {defect:.3e} exceeds {self.herm_tol:.3e}"
             )
-        mat = (mat + mat.conj().T) / 2.0
+        mat = (mat + adjoint) / 2.0
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > self.trace_tol:
             raise StateValidationError(f"trace {tr!r} differs from 1 beyond tolerance")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        min_eig = _min_eigenvalue_on_support(mat)
         if min_eig < -self.psd_tol:
             raise StateValidationError(
                 f"not positive semi-definite: min eigenvalue {min_eig:.3e}"
@@ -247,6 +258,30 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+#: Below this dimension the whole matrix is solved. At dims 4-20 finding and
+#: copying the support costs more than the smaller eigensolve saves: with the
+#: support path at every dim, the small-batch benchmark read +4 % in
+#: ``latency_p50_s`` (10 interleaved pairs in one checkout, against +1 % for
+#: two copies of the same code).
+_SUPPORT_MIN_DIM = 32
+
+
+def _min_eigenvalue_on_support(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of the exactly Hermitian ``mat``, clamped to at most 0.
+
+    Permuting the zero rows and columns to the end leaves a block diagonal
+    of the support submatrix and a zero block, so the spectrum is the
+    submatrix's plus one 0 per dropped row. Clamping to 0 changes no
+    comparison against a negative tolerance.
+    """
+    if mat.shape[0] < _SUPPORT_MIN_DIM:
+        return min(float(np.linalg.eigvalsh(mat)[0]), 0.0)
+    keep = mat.any(axis=1)
+    if not keep.any():
+        return 0.0
+    return min(float(np.linalg.eigvalsh(mat[keep][:, keep])[0]), 0.0)
 
 
 def _matrix_of(rho) -> np.ndarray:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE, params_from_measured, rho_from_params
 from addobs_certify.linalg import partial_transpose
 from addobs_certify.structure import (
+    EPS_PSD,
     AdditiveStructure,
     DensityMatrix,
     StateValidationError,
@@ -98,6 +101,81 @@ class TestDensityMatrix:
         _, rho = bell_system()
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40), fortran=st.booleans())
+    def test_symmetrized_bits_match_reference(self, seed, dim, fortran):
+        # the stored matrix is (rho + rho^dagger)/2 bit for bit, whatever the
+        # input's memory order
+        rng = make_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat = g @ g.conj().T + 1e-12 * g
+        mat /= np.trace(mat).real
+        mat = np.asfortranarray(mat) if fortran else mat
+        expected = (mat + mat.conj().T) / 2.0
+        assert DensityMatrix(mat).matrix.tobytes() == expected.tobytes()
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(StateValidationError, match="empty"):
+            DensityMatrix(np.zeros((0, 0)))
+
+
+def _state_on_support(seed: int, support: list[bool], negative: bool) -> np.ndarray:
+    """Unit-trace Hermitian matrix, zero outside ``support``; when ``negative``
+    one eigenvalue lies below -2e-8, twenty times ``EPS_PSD``."""
+    rng = make_rng(seed)
+    keep = np.flatnonzero(support)
+    k = keep.size
+    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    u, _ = np.linalg.qr(g)
+    lam = rng.uniform(0.1, 1.0, k) * (rng.random(k) > 0.3)
+    lam[-1] = 1.0  # at least one positive eigenvalue
+    if negative:
+        lam[0] = -rng.uniform(1e-6, 0.05)
+    lam /= lam.sum()
+    mat = np.zeros((len(support), len(support)), dtype=complex)
+    mat[np.ix_(keep, keep)] = (u * lam) @ u.conj().T
+    return mat
+
+
+class TestDensityMatrixSupport:
+    """PSD is checked on the nonzero rows only; decisions match a dense eigensolve."""
+
+    # dimensions on both sides of the switch to the support eigensolve at 32
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        support=st.integers(1, 48)
+        .flatmap(lambda d: st.lists(st.booleans(), min_size=d, max_size=d))
+        .filter(any),
+        negative=st.booleans(),
+    )
+    def test_accepts_exactly_as_dense_reference(self, seed, support, negative):
+        negative = negative and sum(support) >= 2
+        mat = _state_on_support(seed, support, negative)
+        dense_min = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0]
+        assert (dense_min < -EPS_PSD) == negative  # far from the tolerance either way
+        if negative:
+            with pytest.raises(StateValidationError, match="semi-definite"):
+                DensityMatrix(mat)
+        else:
+            DensityMatrix(mat)
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_zero_diagonal_row_is_in_the_support(self, dim):
+        # row 2 has a zero diagonal but couples to row 0, and the negative
+        # eigenvalue lives on rows {0, 2}; every other row is zero
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[0, 0] = 1.0
+        mat[0, 2] = mat[2, 0] = 0.1
+        assert np.linalg.eigvalsh(mat)[0] < -1e-3
+        with pytest.raises(StateValidationError, match="semi-definite"):
+            DensityMatrix(mat)
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_no_support_has_min_eigenvalue_zero(self, dim):
+        # only reachable with a trace tolerance of at least 1
+        assert DensityMatrix(np.zeros((dim, dim)), trace_tol=1.0).dim == dim
 
 
 class TestValidateAdditivity:
