@@ -33,13 +33,11 @@ from .structure import (
     DensityMatrix,
     _check_dims,
     _matrix_of,
+    _nondegenerate,
     _valid_scan,
 )
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-#: Relative margin within which vectorized closed-form values are re-ranked
-#: by the scalar closed form (the two agree to a few ulps).
-_RANK_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,12 +163,6 @@ class ChshCertificate:
     theta_opt: float
     phi_opt: float
     observables: ChshObservables
-
-
-def _is_nondegenerate_pair(s: AdditiveStructure, m: int, p: int) -> bool:
-    return (
-        s.alice_deg(s.j_alice[m]) == 1 and s.bob_deg(s.j_bob[p]) == 1
-    )
 
 
 def find_anchor_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> list[AnchorEntry]:
@@ -313,8 +305,25 @@ def _validate_anchor(anchor: AnchorEntry, s: AdditiveStructure) -> None:
         and abs(s.label_sum(n, p) - s.j_total) <= s.eps_j
     ):
         raise ValueError("anchor must be a crossed entry (M0+Q0 != J)")
-    if not _is_nondegenerate_pair(s, n, q):
+    if not (
+        _nondegenerate(s.alice_groups, s.d_a)[n] and _nondegenerate(s.bob_groups, s.d_b)[q]
+    ):
         raise ValueError("anchor column labels (N0, Q0) must be non-degenerate")
+
+
+def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, anchor: AnchorEntry) -> float:
+    """2 * [1 + hypot(2|a|, <Oz>) - <Oz>] for one anchor, from entries of rho.
+
+    ``diag`` is diag(rho) as d_a x d_b. After the anchor's reordering the
+    diagonal entries in <Oz> sit at (m0,p0), (n0,q0) and in Bob's column p0
+    for the other Alice indices, summed in ascending order.
+    """
+    m0, p0, n0, q0 = anchor.m0, anchor.p0, anchor.n0, anchor.q0
+    d_a, d_b = diag.shape
+    rest = [i for i in range(d_a) if i not in (m0, n0)]
+    oz = float(diag[m0, p0] + diag[n0, q0] + np.sum(diag[rest, p0]))
+    a_abs = abs(mat[anchor.row(d_b), anchor.col(d_b)])
+    return 2.0 * (1.0 + math.hypot(2.0 * a_abs, oz) - oz)
 
 
 def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCertificate:
@@ -330,12 +339,7 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     reorder = reorder_basis(anchor, s)
     rho_r = reorder.apply(mat)
     d_a, d_b = s.d_a, s.d_b
-
-    a_abs = abs(mat[anchor.row(d_b), anchor.col(d_b)])
-    # diagonal entries surviving the anchor conditions, all nonnegative
-    diag = np.einsum("ijij->ij", rho_r.reshape(d_a, d_b, d_a, d_b)).real
-    oz = float(diag[0, 0] + diag[1, 1] + np.sum(diag[2:, 0]))
-    f_max = 2.0 * (1.0 + math.hypot(2.0 * a_abs, oz) - oz)
+    f_max = _closed_form_f_max(mat, mat.diagonal().real.reshape(d_a, d_b), anchor)
 
     exp = o_expectations(rho_r, d_a, d_b)
     norm = exp.vector_norm
@@ -410,14 +414,23 @@ def _grid_max(
     phis: np.ndarray,
     chunk: int = 1 << 16,
 ) -> tuple[float, float, float]:
+    """Best score on the theta x phi grid, phi fastest; ties keep the first point.
+
+    Points are scored in chunks of whole theta rows, or of part of a row when
+    one row alone is too long. A chunk stacks two (points, d_b, d_b) setting
+    arrays, so it holds at most ``chunk`` points and at most ``chunk * 64``
+    setting entries (``chunk`` points up to d_b = 8, fewer above).
+    """
     best = -math.inf
     best_t = best_p = 0.0
     n_phi = phis.shape[0]
-    rows_per_chunk = max(1, chunk // n_phi)
-    for start in range(0, thetas.shape[0], rows_per_chunk):
-        th = thetas[start : start + rows_per_chunk]
-        th_flat = np.repeat(th, n_phi)
-        ph_flat = np.tile(phis, th.shape[0])
+    total = thetas.shape[0] * n_phi
+    points = max(1, min(chunk, chunk * 64 // (d_b * d_b)))
+    step = (points // n_phi) * n_phi if n_phi <= points else points
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total))
+        th_flat = thetas[flat // n_phi]
+        ph_flat = phis[flat % n_phi]
         vals = _f_points(w_sum, w_diff, d_b, th_flat, ph_flat)
         k = int(np.argmax(vals))
         if vals[k] > best:
@@ -477,23 +490,7 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
     anchors = find_anchor_entries(rho, s, tol)
     if not anchors:
         return None
-    # closed form of every anchor at once, from |a| and diagonal entries:
-    # <Oz> = D[n0,q0] + sum_m D[m,p0] - D[n0,p0] with D = diag(rho) as d_a x d_b
     mat = _matrix_of(rho)
-    d_b = s.d_b
-    diag = mat.diagonal().real.reshape(s.d_a, d_b)
-    m0, p0, n0, q0 = np.array([(a.m0, a.p0, a.n0, a.q0) for a in anchors]).T
-    a_abs = np.abs(mat[m0 * d_b + p0, n0 * d_b + q0])
-    oz = diag[n0, q0] + diag.sum(axis=0)[p0] - diag[n0, p0]
-    f_all = 2.0 * (1.0 + np.hypot(2.0 * a_abs, oz) - oz)
-    # The scalar closed form sums in another order (values differ by a few
-    # ulps): it re-ranks every anchor within a rounding margin of the top, so
-    # the kept certificate is exactly the one a scalar scan would keep.
-    top = float(f_all.max())
-    near_top = ~(f_all < top - _RANK_MARGIN * max(1.0, abs(top)))
-    best: ChshCertificate | None = None
-    for k in np.flatnonzero(near_top).tolist():
-        cert = f_max_closed_form(rho, anchors[k], s)
-        if best is None or cert.f_max > best.f_max:
-            best = cert
-    return best
+    diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
+    f_all = [_closed_form_f_max(mat, diag, a) for a in anchors]
+    return f_max_closed_form(mat, anchors[f_all.index(max(f_all))], s)

@@ -57,6 +57,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
+#: Largest ``--grid`` size nTheta * nPhi (4096 x 4096).
+_MAX_GRID_POINTS = 1 << 24
+
 
 class DocumentError(ValueError):
     """The input file could not be parsed into a state document."""
@@ -134,7 +137,7 @@ def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
             data = json.load(handle, object_hook=_entry_hook)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, invalid UTF-8, an over-long integer
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
 
     _require(isinstance(data, dict), "document root must be an object")
@@ -270,6 +273,10 @@ def _parse_grid(spec: str) -> tuple[int, int]:
         ) from exc
     if n_theta < 2 or n_phi < 2:
         raise argparse.ArgumentTypeError(f"--grid needs both sizes at least 2, got {spec!r}")
+    if n_theta * n_phi > _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"--grid allows at most {_MAX_GRID_POINTS} points, got {spec!r}"
+        )
     return n_theta, n_phi
 
 

@@ -150,7 +150,7 @@ def certify(
     Decision ladder:
 
     1. any crossed entry certifies entanglement (the witness is the one of
-       largest magnitude);
+       largest magnitude, the first in ascending flat order on ties);
     2. otherwise, if every shell sector is TYPE1 the state is certified
        separable;
     3. otherwise the PPT spectrum of each non-TYPE1 sector block decides:
@@ -162,13 +162,21 @@ def certify(
     The minimum eigenvalue of the full partial transpose is reported in
     every case.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
+    mat, scan = _valid_scan(rho, s, tol)
     min_pt = min_pt_eigenvalue(mat, s)
 
-    crossed = find_crossed_entries(mat, s, tol)
-    if crossed:
-        witness = max(crossed, key=lambda e: (abs(e.value), -e.row, -e.col))
+    if scan.crossed_rows.size:
+        # Python abs, as on CrossedEntry.value: np.abs can differ from it in
+        # the last bit, which would move the witness on near-ties
+        values = mat[scan.crossed_rows, scan.crossed_cols].tolist()
+        magnitudes = list(map(abs, values))
+        k = magnitudes.index(max(magnitudes))
+        row, col = int(scan.crossed_rows[k]), int(scan.crossed_cols[k])
+        d_b = s.d_b
+        witness = CrossedEntry(
+            alice=(row // d_b, col // d_b), bob=(row % d_b, col % d_b),
+            value=values[k], row=row, col=col,
+        )
         return EntanglementVerdict(VerdictStatus.ENTANGLED_CERTIFIED, witness, min_pt)
 
     classes = classify_sectors(s)

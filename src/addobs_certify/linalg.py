@@ -13,8 +13,6 @@ import numpy as np
 
 #: Tolerance below which a matrix counts as Hermitian.
 EPS_HERM = 1e-10
-#: Eigenvalue accuracy (relative to the spectral radius) assumed downstream.
-EPS_EIG = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from addobs_certify.chsh import (
     TSIRELSON_BOUND,
     _f_points,
     _alice_contractions,
+    _grid_max,
     build_o_operators,
     build_observables,
     certify_nonlocality,
@@ -452,6 +455,35 @@ class TestGridVerify:
                 value = grid_verify(rho, anchors[0], s, n, n, refine_levels=0)
                 assert value <= cert.f_max + 1e-9
                 assert cert.f_max - value <= 10.0 / n
+
+    def test_chunks_within_a_row_give_the_same_maximum(self):
+        rng = make_rng(37)
+        s, rho, anchors = random_anchored_system(rng)
+        rho_r = reorder_basis(anchors[0], s).apply(rho)
+        w_sum, w_diff = _alice_contractions(rho_r, s.d_a, s.d_b)
+        thetas = np.linspace(0.0, math.pi, 9)
+        phis = np.linspace(-math.pi, math.pi, 13)
+        whole = _grid_max(w_sum, w_diff, s.d_b, thetas, phis)
+        for chunk in (1, 5, 13, 40):
+            assert _grid_max(w_sum, w_diff, s.d_b, thetas, phis, chunk=chunk) == whole
+
+    def test_chain_grid_memory_is_capped(self):
+        # spin-1/2 chain 5|5 at J = 0 (d_b = 32): a chunk stacks two setting
+        # arrays of at most 2**22 entries (128 MiB together) next to the
+        # 16 MiB reordered state; 8,192 points in one chunk took 256 MiB
+        labels = tuple(
+            float(sum(0.5 - b for b in bits)) for bits in itertools.product((0, 1), repeat=5)
+        )
+        s = AdditiveStructure(labels, labels, 0.0)
+        rho = random_shell_state(make_rng(38), s, rank=4)
+        anchor = find_anchor_entries(rho, s)[0]
+        tracemalloc.start()
+        try:
+            grid_verify(rho, anchor, s, 64, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 192 * 2**20
 
     def test_grid_shape_validation(self):
         s, rho = bell_system()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -253,6 +254,17 @@ class TestArgumentChecks:
 
     def test_smallest_grid_accepted(self, bell_doc):
         assert cli.main(["certify", bell_doc, "--grid", "2x2"]) == 0
+
+    def test_grid_beyond_limit_rejected_at_parse_time(self, capsys):
+        # parsed only: a grid this size is never run
+        assert cli._parse_grid("4096x4096") == (4096, 4096)
+        for spec in ("4097x4096", "2x8388609", "16777217x2"):
+            with pytest.raises(argparse.ArgumentTypeError, match="at most 16777216 points"):
+                cli._parse_grid(spec)
+        with pytest.raises(SystemExit) as info:
+            cli._build_parser().parse_args(["certify", "doc.json", "--grid", "4097x4097"])
+        assert info.value.code != 0
+        assert "--grid" in capsys.readouterr().err
 
 
 BOOLEAN_DOCS = {

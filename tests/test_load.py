@@ -217,3 +217,30 @@ def test_re_im_root_is_not_an_object(tmp_path):
     path.write_text('{"re": 1, "im": 0}')
     with pytest.raises(DocumentError, match="^document root must be an object$"):
         load_document(str(path))
+
+
+# --- documents json.load cannot decode ---
+
+UNDECODABLE_DOCS = {
+    # a Latin-1 byte where UTF-8 expects a continuation byte
+    "invalid_utf8": _huge_doc().replace('"jA"', '"j\xe9A"').encode("latin-1"),
+    # beyond Python's int-conversion limit of 4,300 digits
+    "long_integer": _huge_doc(entry="1" * 4301).encode("utf-8"),
+}
+
+
+class TestUndecodableDocuments:
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE_DOCS))
+    def test_rejected_as_document_error(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNDECODABLE_DOCS[name])
+        with pytest.raises(DocumentError):
+            load_document(str(path))
+
+    @pytest.mark.parametrize("command", ["validate", "certify"])
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE_DOCS))
+    def test_exit_code_one(self, tmp_path, command, name, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNDECODABLE_DOCS[name])
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addobs_certify.chsh import (
@@ -21,7 +21,7 @@ from addobs_certify.chsh import (
     f_max_closed_form,
     find_anchor_entries,
 )
-from addobs_certify.entanglement import CrossedEntry, find_crossed_entries
+from addobs_certify.entanglement import CrossedEntry, certify, find_crossed_entries
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE
 from addobs_certify.structure import (
     AdditiveStructure,
@@ -251,6 +251,36 @@ def test_exact_tie_keeps_first_anchor():
     cert = certify_nonlocality(rho, s)
     assert (cert.anchor.row(3), cert.anchor.col(3)) == (2, 4)
     assert cert.phi_opt == first.phi_opt
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_certify_witness_is_first_largest_crossed_entry(case):
+    s, mat, tol = case
+    assume(not validate_additivity(mat, s, tol))
+    crossed = find_crossed_entries(mat, s, tol)
+    witness = certify(mat, s, tol).witness
+    if crossed:
+        assert witness == max(crossed, key=lambda e: abs(e.value))
+    else:
+        assert not isinstance(witness, CrossedEntry)
+
+
+def test_exact_tie_keeps_first_crossed_entry():
+    # H->ZZ labels, shell flats 2, 4, 6: the crossed entries at (2,4) and
+    # (2,6) have |value| = 0.2 exactly and different phases
+    s = HIGGS_STRUCTURE
+    mat = np.zeros((9, 9), dtype=complex)
+    mat[2, 2], mat[4, 4], mat[6, 6] = 0.5, 0.25, 0.25
+    mat[2, 4] = 0.12 + 0.16j
+    mat[2, 6] = 0.16 - 0.12j
+    mat += np.triu(mat, 1).conj().T
+    rho = DensityMatrix(mat)
+    first, second = find_crossed_entries(rho, s)
+    assert abs(first.value) == abs(second.value)
+    assert first.value != second.value
+    assert certify(rho, s).witness == first
+    assert (first.row, first.col) == (2, 4)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
