@@ -326,6 +326,29 @@ def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, anchor: AnchorEntry) -
     return 2.0 * (1.0 + math.hypot(2.0 * a_abs, oz) - oz)
 
 
+def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tuple[float, float, float]:
+    """(<Ox>, <Oy>, <Oz>) of the reordered state, without reordering ``mat``.
+
+    Reads the entries ``o_expectations`` sums on ``reorder.apply(mat)``
+    through the basis orders instead, in the same order, so the values are
+    the same to the bit. ``diag`` is diag(rho) as d_a x d_b.
+    """
+    (m0, n0, *rest), (p0, q0, *_) = reorder.alice_order, reorder.bob_order
+    d_b = diag.shape[1]
+    oz = float(
+        (diag[m0, p0] - diag[m0, q0])
+        + (diag[n0, q0] - diag[n0, p0])
+        + np.sum(diag[rest, p0] - diag[rest, q0])
+    )
+    rest_flats = np.asarray(rest, dtype=int) * d_b
+    cross = (
+        mat[m0 * d_b + p0, n0 * d_b + q0]
+        + mat[n0 * d_b + p0, m0 * d_b + q0]
+        + np.sum(mat[rest_flats + p0, rest_flats + q0])
+    )
+    return float(2.0 * cross.real), float(-2.0 * cross.imag), oz
+
+
 def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCertificate:
     """Closed-form CHSH maximum over the angle family, for a given anchor.
 
@@ -337,17 +360,17 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     _check_dims(mat, s)
     _validate_anchor(anchor, s)
     reorder = reorder_basis(anchor, s)
-    rho_r = reorder.apply(mat)
     d_a, d_b = s.d_a, s.d_b
-    f_max = _closed_form_f_max(mat, mat.diagonal().real.reshape(d_a, d_b), anchor)
+    diag = mat.diagonal().real.reshape(d_a, d_b)
+    f_max = _closed_form_f_max(mat, diag, anchor)
 
-    exp = o_expectations(rho_r, d_a, d_b)
-    norm = exp.vector_norm
+    ox, oy, oz = _o_vector(mat, diag, reorder)
+    norm = math.sqrt(ox**2 + oy**2 + oz**2)
     if norm <= EPS_ZERO:
         theta_opt, phi_opt = 0.0, 0.0
     else:
-        theta_opt = math.acos(min(1.0, max(-1.0, exp.oz / norm))) + 0.0
-        phi_opt = math.atan2(exp.oy, exp.ox) + 0.0  # +0.0 folds -0.0 into 0.0
+        theta_opt = math.acos(min(1.0, max(-1.0, oz / norm))) + 0.0
+        phi_opt = math.atan2(oy, ox) + 0.0  # +0.0 folds -0.0 into 0.0
     obs = build_observables(theta_opt, phi_opt, d_a, d_b)
     return ChshCertificate(
         anchor=anchor,

@@ -15,6 +15,13 @@ blocks:
   transpose couples the (M,Q) pairs to the unique partner (N,P) =
   (J-Q, J-M), producing a Hermitian block with zero diagonal sub-blocks,
   hence a spectrum symmetric about zero.
+
+Off-shell pairs without partner eigenvalues lie in no block; their rows of
+the partial transpose are zero. One partition of the basis pairs into these
+blocks, cached per structure, serves both ``pt_block_decomposition`` and
+``min_pt_eigenvalue``: the smallest PT eigenvalue is the minimum over the
+block spectra (and 0 for uncovered rows), checked first to be exact for the
+given matrix, with one dense eigensolve as the fallback.
 """
 
 from __future__ import annotations
@@ -139,6 +146,32 @@ class AdditiveStructure:
     def bob_groups(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
         return _group_labels(self.j_bob, self.eps_j)
 
+    @cached_property
+    def _pt_blocks(self) -> tuple[_PtBlock, ...]:
+        """The blocks of rho^{T2} forced by the texture, in sector order.
+
+        One block per shell sector (M + Q = J) and one per cross pair of
+        off-shell sectors (M, Q) and (J-Q, J-M), from its lexicographically
+        smaller side. An off-shell sector without partner eigenvalues is in
+        no block: for a texture-valid rho its rows of rho^{T2} are zero.
+        """
+        sectors = build_sectors(self)
+        by_key = {sec.key: sec for sec in sectors}
+        blocks = []
+        for sec in sectors:
+            flats = sec.flat_indices(self.d_b)
+            if abs(sec.m_value + sec.q_value - self.j_total) <= self.eps_j:
+                blocks.append(_PtBlock(sec, None, flats, ()))
+                continue
+            alice_partner = self.alice_group(self.j_total - sec.q_value)
+            bob_partner = self.bob_group(self.j_total - sec.m_value)
+            if alice_partner is None or bob_partner is None:
+                continue
+            partner = by_key[(alice_partner[0], bob_partner[0])]
+            if sec.key <= partner.key:
+                blocks.append(_PtBlock(sec, partner, flats, partner.flat_indices(self.d_b)))
+        return tuple(blocks)
+
     def alice_group(self, value: float) -> tuple[float, tuple[int, ...]] | None:
         for rep, idx in self.alice_groups:
             if abs(rep - value) <= self.eps_j:
@@ -190,6 +223,16 @@ class Sector:
     def flat_indices(self, d_b: int) -> tuple[int, ...]:
         """Flat positions of the sector's (m, q) pairs, Alice-major."""
         return tuple(m * d_b + q for m in self.alice_indices for q in self.bob_indices)
+
+
+class _PtBlock(NamedTuple):
+    """Index sets of one block of rho^{T2}: a shell sector (no ``partner``,
+    empty ``flats_np``) or the cross pair of ``sector`` and ``partner``."""
+
+    sector: Sector
+    partner: Sector | None
+    flats_mq: tuple[int, ...]
+    flats_np: tuple[int, ...]
 
 
 def build_sectors(s: AdditiveStructure) -> list[Sector]:
@@ -260,12 +303,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-#: Below this dimension the whole matrix is solved. At dims 4-20 finding and
+#: Below this dimension the whole matrix is solved, both by the PSD check of
+#: ``DensityMatrix`` and by ``min_pt_eigenvalue``. At dims 4-20 finding and
 #: copying the support costs more than the smaller eigensolve saves: with the
 #: support path at every dim, the small-batch benchmark read +4 % in
 #: ``latency_p50_s`` (10 interleaved pairs in one checkout, against +1 % for
 #: two copies of the same code).
-_SUPPORT_MIN_DIM = 32
+_SPLIT_MIN_DIM = 32
 
 
 def _min_eigenvalue_on_support(mat: np.ndarray) -> float:
@@ -276,7 +320,7 @@ def _min_eigenvalue_on_support(mat: np.ndarray) -> float:
     submatrix's plus one 0 per dropped row. Clamping to 0 changes no
     comparison against a negative tolerance.
     """
-    if mat.shape[0] < _SUPPORT_MIN_DIM:
+    if mat.shape[0] < _SPLIT_MIN_DIM:
         return min(float(np.linalg.eigvalsh(mat)[0]), 0.0)
     keep = mat.any(axis=1)
     if not keep.any():
@@ -462,37 +506,42 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
     """
     mat, _ = _valid_scan(rho, s, zero_tol)
     pt = partial_transpose(mat, s.d_a, s.d_b)
-    sectors = build_sectors(s)
-    by_key = {sec.key: sec for sec in sectors}
-
     type_a: list[SectorBlock] = []
     type_b: list[CrossBlock] = []
-    for sec in sectors:
-        total = sec.m_value + sec.q_value
-        if abs(total - s.j_total) <= s.eps_j:
-            flats = sec.flat_indices(s.d_b)
-            idx = np.asarray(flats)
-            type_a.append(SectorBlock(sec, flats, pt[np.ix_(idx, idx)].copy()))
-            continue
-        alice_partner = s.alice_group(s.j_total - sec.q_value)
-        bob_partner = s.bob_group(s.j_total - sec.m_value)
-        if alice_partner is None or bob_partner is None:
-            # no partner eigenvalues: these rows of rho^{T2} are all zero
-            continue
-        partner = by_key[(alice_partner[0], bob_partner[0])]
-        if sec.key > partner.key:
-            continue  # pair emitted once, from its lexicographically smaller side
-        flats_mq = sec.flat_indices(s.d_b)
-        flats_np = partner.flat_indices(s.d_b)
+    for sec, partner, flats_mq, flats_np in s._pt_blocks:
         idx = np.asarray(flats_mq + flats_np)
-        type_b.append(
-            CrossBlock(sec, partner, flats_mq, flats_np, pt[np.ix_(idx, idx)].copy())
-        )
+        block = pt[np.ix_(idx, idx)].copy()
+        if partner is None:
+            type_a.append(SectorBlock(sec, flats_mq, block))
+        else:
+            type_b.append(CrossBlock(sec, partner, flats_mq, flats_np, block))
     return PtBlockDecomposition(tuple(type_a), tuple(type_b), s.dim)
 
 
 def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
-    """Smallest eigenvalue of the full partial transpose."""
+    """Smallest eigenvalue of the full partial transpose.
+
+    From dim 32 up the minimum is taken over the texture's blocks (see
+    ``pt_block_decomposition``) whenever they are disjoint and every
+    nonzero entry of rho^{T2} lies inside one of them: permuting the
+    blocks' rows to the front then gives a block diagonal of the blocks
+    plus a zero block on the rows no block covers, so the spectrum is the
+    blocks' spectra plus one 0 per uncovered row. Otherwise, as for an
+    input with entries off the texture (including ones below ``zero_tol``)
+    or labels so close that the blocks overlap, and below dim 32, the whole
+    matrix is solved. Raises ``ValueError`` when rho^{T2} is not Hermitian.
+    """
     mat = _matrix_of(rho)
     _check_dims(mat, s)
-    return float(eigenvalues_hermitian(partial_transpose(mat, s.d_a, s.d_b))[0])
+    pt = partial_transpose(mat, s.d_a, s.d_b)
+    if s.dim >= _SPLIT_MIN_DIM:
+        indices = [b.flats_mq + b.flats_np for b in s._pt_blocks]
+        covered = sum(map(len, indices))
+        blocks = [pt[np.ix_(idx, idx)] for idx in indices]
+        if (
+            len(set().union(*indices)) == covered
+            and sum(map(np.count_nonzero, blocks)) == np.count_nonzero(pt)
+        ):
+            low = min((float(eigenvalues_hermitian(b)[0]) for b in blocks), default=0.0)
+            return min(low, 0.0) if covered < s.dim else low
+    return float(eigenvalues_hermitian(pt)[0])

@@ -355,6 +355,23 @@ class TestFMaxClosedForm:
         with pytest.raises(ValueError, match="crossed"):
             f_max_closed_form(rho, AnchorEntry(0, 2, 0, 2, 0.1 + 0j), s)
 
+    def test_angles_are_those_of_the_reordered_matrix(self):
+        # f_max_closed_form reads the entries behind <Ox>, <Oy>, <Oz> in place;
+        # the angles must be, to the bit, those o_expectations gives on the
+        # reordered copy (on a 5|5 chain cut numpy's pairwise sum over the 30
+        # other Alice indices differs from a plain loop for about 1 anchor in 4)
+        rng = make_rng(41)
+        chain = tuple(float(sum(0.5 - (k >> i & 1) for i in range(5))) for k in range(32))
+        systems = [random_anchored_system(rng)[:2] for _ in range(30)]
+        s = AdditiveStructure(chain, chain, 0.0)
+        systems.append((s, random_shell_state(rng, s)))
+        for s, rho in systems:
+            for anchor in find_anchor_entries(rho, s)[::10]:
+                cert = f_max_closed_form(rho, anchor, s)
+                exp = o_expectations(cert.reorder.apply(rho), s.d_a, s.d_b)
+                assert cert.theta_opt == math.acos(min(1.0, max(-1.0, exp.oz / exp.vector_norm))) + 0.0
+                assert cert.phi_opt == math.atan2(exp.oy, exp.ox) + 0.0
+
     def test_attained_at_reported_angles(self):
         rng = make_rng(30)
         for _ in range(25):

@@ -20,6 +20,7 @@ from addobs_certify.chsh import (
     certify_nonlocality,
     f_max_closed_form,
     find_anchor_entries,
+    grid_verify,
 )
 from addobs_certify.entanglement import CrossedEntry, certify, find_crossed_entries
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE
@@ -231,6 +232,16 @@ def test_certificate_is_first_scalar_maximum(case):
     assert (cert.theta_opt, cert.phi_opt) == (expected.theta_opt, expected.phi_opt)
     assert cert.reorder == expected.reorder
     assert 2.0 < cert.f_max <= TSIRELSON_BOUND + 1e-12  # rounding slack only
+
+
+@settings(max_examples=100, deadline=None)
+@given(anchored_states())
+def test_closed_form_bounds_the_grid_and_tsirelson(case):
+    s, rho, tol = case
+    for anchor in find_anchor_entries(rho, s, tol):
+        f_max = f_max_closed_form(rho, anchor, s).f_max
+        assert grid_verify(rho, anchor, s, n_theta=16, n_phi=32) <= f_max + 1e-12
+        assert f_max <= TSIRELSON_BOUND + 1e-12
 
 
 def test_exact_tie_keeps_first_anchor():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE, params_from_measured, rho_from_params
@@ -16,6 +16,7 @@ from addobs_certify.structure import (
     StateValidationError,
     TextureError,
     build_sectors,
+    min_pt_eigenvalue,
     pt_block_decomposition,
     validate_additivity,
 )
@@ -273,3 +274,106 @@ class TestPtBlockDecomposition:
             for block in decomp.type_b:
                 eigs = np.linalg.eigvalsh(block.matrix)
                 np.testing.assert_allclose(eigs, -eigs[::-1], atol=1e-10)
+
+
+@st.composite
+def large_shell_states(draw):
+    """Integer labels with d_a * d_b >= 32 and a state on the shell, as an array.
+
+    The total is one of the label sums, so the shell may be a single sector
+    (the extreme sums) and some off-shell sectors may have no partner. The
+    state mixes a random shell state with the maximally mixed one.
+    """
+    d_a = draw(st.integers(4, 8))
+    d_b = draw(st.integers(-(-32 // d_a), 8))
+    labels = st.integers(-2, 2).map(float)
+    ja = draw(st.lists(labels, min_size=d_a, max_size=d_a))
+    jb = draw(st.lists(labels, min_size=d_b, max_size=d_b))
+    total = draw(st.sampled_from(sorted({a + b for a in ja for b in jb})))
+    s = AdditiveStructure(tuple(ja), tuple(jb), total)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.sampled_from([None, 1, 2]))
+    weight = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    flats = list(s.shell_flats)
+    mat = (1.0 - weight) * random_shell_state(rng, s, rank).matrix
+    mat[flats, flats] += weight / len(flats)
+    return s, mat
+
+
+def _off_shell_flats(s: AdditiveStructure) -> list[int]:
+    shell = set(s.shell_flats)
+    return [k for k in range(s.dim) if k not in shell]
+
+
+class TestMinPtEigenvalueBlocks:
+    """From dim 32 up the minimum comes from the PT blocks; it must equal one dense solve."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(large_shell_states())
+    def test_matches_dense_solve_on_texture_valid_states(self, case):
+        s, mat = case
+        dense = np.linalg.eigvalsh(partial_transpose(mat, s.d_a, s.d_b))[0]
+        assert abs(min_pt_eigenvalue(mat, s) - dense) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_shell_states(), st.data())
+    def test_entries_off_the_texture_take_the_dense_solve(self, case, data):
+        # an entry joining a shell pair (M, P) to an off-shell pair (N, Q)
+        # lands at PT labels (M, Q) and (N, P), which share no block
+        s, mat = case
+        off = _off_shell_flats(s)
+        assume(off)
+        row = data.draw(st.sampled_from(s.shell_flats))
+        col = data.draw(st.sampled_from(off))
+        value = data.draw(st.floats(1e-15, 1e-12)) * np.exp(1j * data.draw(st.floats(0.0, 6.0)))
+        mat[row, col] += value
+        mat[col, row] += np.conj(value)
+        dense = np.linalg.eigvalsh(partial_transpose(mat, s.d_a, s.d_b))[0]
+        assert min_pt_eigenvalue(mat, s) == dense
+
+    @settings(max_examples=50, deadline=None)
+    @given(large_shell_states(), st.booleans())
+    def test_non_hermitian_input_rejected(self, case, in_block):
+        s, mat = case
+        off = _off_shell_flats(s)
+        assume(in_block or off)
+        row = s.shell_flats[0]
+        if in_block:
+            mat[row, row] += 1e-6j  # a diagonal entry stays in its sector block
+        else:
+            mat[row, off[0]] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            min_pt_eigenvalue(mat, s)
+
+    def test_uncovered_rows_clamp_a_positive_block_minimum(self):
+        # J = 0 is the smallest label sum, so the shell is one 4 x 4 sector and
+        # no off-shell sector has a partner: the maximally mixed sector state
+        # gives a block minimum of 1/16, and the 48 uncovered rows give 0
+        s = AdditiveStructure((0.0,) * 4 + (1.0,) * 4, (0.0,) * 4 + (1.0,) * 4, 0.0)
+        flats = list(s.shell_flats)
+        mat = np.zeros((64, 64), dtype=complex)
+        mat[flats, flats] = 1.0 / 16.0
+        assert np.linalg.eigvalsh(partial_transpose(mat, 8, 8))[0] == 0.0
+        assert min_pt_eigenvalue(mat, s) == 0.0
+
+    def test_overlapping_blocks_take_the_dense_solve(self):
+        # labels within EPS_J of each other: the cross blocks of flats (8, 5)
+        # and (10, 5) share row 5, whose PT couplings to 8 and 10 form one
+        # star with eigenvalues +-0.2 * sqrt(2); the two blocks alone would
+        # give -0.2. Alice's labels 50 only add rows outside every block.
+        s = AdditiveStructure(
+            (0.9999999982, 1.0000000012, 6e-10, 0.9999999988) + (50.0,) * 4,
+            (-1.0000000006, 1.2e-09, -0.9999999994, 0.9999999982),
+            1.2e-09,
+        )
+        mat = np.zeros((32, 32), dtype=complex)
+        mat[[4, 6, 9], [4, 6, 9]] = 1.0 / 3.0
+        mat[4, 9] = mat[9, 4] = mat[6, 9] = mat[9, 6] = 0.2
+        assert min_pt_eigenvalue(mat, s) == pytest.approx(-0.2 * np.sqrt(2.0), abs=1e-12)
+
+    def test_no_blocks_and_no_entries(self):
+        # labels within EPS_J of each other can put even the one shell pair,
+        # (0, 1), in an off-shell sector: there is no block at all
+        s = AdditiveStructure((1.2e-09,) + (50.0,) * 15, (-6e-10, 0.0), 1.8e-09)
+        assert s.shell_pairs == ((0, 1),)
+        assert min_pt_eigenvalue(np.zeros((32, 32)), s) == 0.0
