@@ -39,8 +39,9 @@ def test_certify_report_is_byte_identical(doc, extra, stem, code, fmt, suffix, c
 
 @pytest.mark.parametrize("doc, stem", [(c[0], c[2]) for c in CASES if c[3] == 0])
 def test_golden_min_pt_eigenvalue_matches_dense_solve(doc, stem):
-    # the reports take the minimum block by block; it must agree with one
-    # dense eigensolve of the whole partial transpose to round-off
+    # from dim 32 up (the chain3 documents) the reports take the minimum
+    # block by block; it must agree with one dense eigensolve of the whole
+    # partial transpose to round-off
     s, rho = cli.load_document(str(DATA / f"{doc}.json"))
     pt = np.swapaxes(rho.matrix.reshape(s.d_a, s.d_b, s.d_a, s.d_b), 1, 3).reshape(s.dim, s.dim)
     report = json.loads((DATA / "golden" / f"{stem}.certify.json").read_text())
