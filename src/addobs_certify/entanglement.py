@@ -31,7 +31,6 @@ from .structure import (
     _valid_scan,
     build_sectors,
     min_pt_eigenvalue,
-    pt_block_decomposition,
 )
 
 
@@ -184,14 +183,16 @@ def certify(
     if not nontrivial:
         return EntanglementVerdict(VerdictStatus.SEPARABLE_CERTIFIED, None, min_pt)
 
-    decomp = pt_block_decomposition(mat, s, tol)
-    blocks = {b.sector.key: b for b in decomp.type_a}
+    # each sector block of rho^{T2}, read straight from rho and divided by
+    # its trace as block_ppt_min_eig does; zero_tol alone decides the skip
+    gathers = {b.sector.key: (b.rows, b.cols) for b in s._pt_blocks if b.partner is None}
     worst: BlockWitness | None = None
     for cls in nontrivial:
-        block = blocks[cls.sector.key]
-        if float(np.trace(block.matrix).real) <= tol:
+        block = mat[gathers[cls.sector.key]]
+        tr = float(np.trace(block).real)
+        if tr <= tol:
             continue  # zero-weight sector carries no state
-        low = block_ppt_min_eig(block)
+        low = float(eigenvalues_hermitian(block / tr)[0])
         if low < -psd_tol and (worst is None or low < worst.min_eigenvalue):
             worst = BlockWitness(cls.sector, low)
     if worst is not None:

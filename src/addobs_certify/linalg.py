@@ -6,8 +6,10 @@ eigenproblems go through LAPACK. Dimensions run from 4 (two qubits) to
 1024 (a 5|5 spin-1/2 chain cut). An eigensolve is cubic in the size of the
 matrix it is given, so from dim 32 up ``structure`` hands it smaller ones:
 the nonzero support of a density matrix and the texture's blocks of a
+partial transpose, read from the density matrix without building the
 partial transpose (at a 5|5 cut, 252 rows and blocks of at most 200
-instead of 1024).
+instead of 1024). ``partial_transpose`` itself serves the dense fallback
+and callers that want the whole matrix.
 """
 
 from __future__ import annotations

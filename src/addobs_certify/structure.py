@@ -18,10 +18,13 @@ blocks:
 
 Off-shell pairs without partner eigenvalues lie in no block; their rows of
 the partial transpose are zero. One partition of the basis pairs into these
-blocks, cached per structure, serves both ``pt_block_decomposition`` and
-``min_pt_eigenvalue``: the smallest PT eigenvalue is the minimum over the
-block spectra (and 0 for uncovered rows), checked first to be exact for the
-given matrix, with one dense eigensolve as the fallback.
+blocks is cached per structure, each block with the positions of rho its
+entries come from (the partial transpose only permutes entries), so no
+block needs rho^{T2} itself. It serves ``pt_block_decomposition``,
+``min_pt_eigenvalue`` and the block-PPT rung of ``entanglement.certify``:
+the smallest PT eigenvalue is the minimum over the block spectra (and 0
+for uncovered rows), checked first to be exact for the given matrix, with
+one dense eigensolve of rho^{T2} as the fallback.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ class AdditiveStructure:
         for sec in sectors:
             flats = sec.flat_indices(self.d_b)
             if abs(sec.m_value + sec.q_value - self.j_total) <= self.eps_j:
-                blocks.append(_PtBlock(sec, None, flats, ()))
+                blocks.append(self._new_pt_block(sec, None, flats, ()))
                 continue
             alice_partner = self.alice_group(self.j_total - sec.q_value)
             bob_partner = self.bob_group(self.j_total - sec.m_value)
@@ -169,8 +172,23 @@ class AdditiveStructure:
                 continue
             partner = by_key[(alice_partner[0], bob_partner[0])]
             if sec.key <= partner.key:
-                blocks.append(_PtBlock(sec, partner, flats, partner.flat_indices(self.d_b)))
+                blocks.append(self._new_pt_block(sec, partner, flats, partner.flat_indices(self.d_b)))
         return tuple(blocks)
+
+    def _new_pt_block(self, sector, partner, flats_mq, flats_np) -> _PtBlock:
+        # rho^{T2}[(m,q),(n,p)] = rho[(m,p),(n,q)]: a row of rho takes the
+        # Alice index of the PT row and the Bob index of the PT column
+        alice, bob = np.divmod(np.asarray(flats_mq + flats_np, dtype=np.intp), self.d_b)
+        alice *= self.d_b
+        rows = alice[:, None] + bob[None, :]
+        cols = alice[None, :] + bob[:, None]
+        return _PtBlock(sector, partner, flats_mq, flats_np, rows, cols)
+
+    @cached_property
+    def _pt_cover(self) -> tuple[bool, bool]:
+        """Whether the ``_pt_blocks`` share no row, and whether they cover every row."""
+        flats = [f for b in self._pt_blocks for f in b.flats_mq + b.flats_np]
+        return len(set(flats)) == len(flats), len(flats) == self.dim
 
     def alice_group(self, value: float) -> tuple[float, tuple[int, ...]] | None:
         for rep, idx in self.alice_groups:
@@ -227,12 +245,19 @@ class Sector:
 
 class _PtBlock(NamedTuple):
     """Index sets of one block of rho^{T2}: a shell sector (no ``partner``,
-    empty ``flats_np``) or the cross pair of ``sector`` and ``partner``."""
+    empty ``flats_np``) or the cross pair of ``sector`` and ``partner``.
+
+    ``mat[rows, cols]`` is the block, read straight from rho: it equals
+    ``partial_transpose(mat)[np.ix_(idx, idx)]`` for ``idx = flats_mq +
+    flats_np``.
+    """
 
     sector: Sector
     partner: Sector | None
     flats_mq: tuple[int, ...]
     flats_np: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def build_sectors(s: AdditiveStructure) -> list[Sector]:
@@ -260,11 +285,16 @@ class DensityMatrix:
     matrices reconstructed from measured entries routinely fail strict
     positivity at that level; anything worse is a hard error.
 
-    Positivity is checked on the nonzero support: rows that are exactly
-    zero (and so, after symmetrization, their columns) only add zero
-    eigenvalues, so the eigensolve runs on the principal submatrix of the
-    other rows (from dim 32 up; smaller matrices are solved whole). A chain
-    state of dim 1024 with 252 nonzero rows solves a 252 x 252 problem.
+    From dim 32 up the checks run on the live indices only: those whose row
+    or column holds a nonzero entry (by bit pattern, so -0.0 counts). Every
+    entry off them is +0 in the input and stays +0 when symmetrized, so the
+    finiteness test, the hermiticity defect and the symmetrization are taken
+    on the live submatrix and scattered into a zero matrix, with the same
+    bits and the same decisions as on the whole. Positivity is checked on
+    the rows of the symmetrized submatrix that are nonzero: zero rows only
+    add zero eigenvalues. A chain state of dim 1024 with 252 live rows works
+    on 252 x 252 arrays and solves a 252 x 252 problem. Smaller matrices are
+    checked and solved whole.
     """
 
     matrix: np.ndarray
@@ -276,21 +306,32 @@ class DensityMatrix:
         mat = as_square_matrix(self.matrix)
         if mat.size == 0:
             raise StateValidationError("density matrix is empty (0 x 0)")
-        if not np.isfinite(mat).all():
+        dim = mat.shape[0]
+        live = _live_indices(mat) if dim >= _SPLIT_MIN_DIM else None
+        sub = mat if live is None else mat[np.ix_(live, live)]
+        if not np.isfinite(sub).all():
             raise StateValidationError("density matrix has non-finite entries")
         # one strided pass for the adjoint, laid out C-contiguous so the two
         # uses below run over contiguous memory (the same values as conj().T)
-        adjoint = np.conjugate(mat.T, order="C")
-        defect = float(np.max(np.abs(mat - adjoint)))
+        adjoint = np.conjugate(sub.T, order="C")
+        defect = float(np.max(np.abs(sub - adjoint))) if sub.size else 0.0
         if defect > self.herm_tol:
             raise StateValidationError(
                 f"not Hermitian: defect {defect:.3e} exceeds {self.herm_tol:.3e}"
             )
-        mat = (mat + adjoint) / 2.0
+        sub = (sub + adjoint) / 2.0
+        if live is None:
+            mat = sub
+        else:
+            mat = np.zeros((dim, dim), dtype=complex)
+            mat[np.ix_(live, live)] = sub
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > self.trace_tol:
             raise StateValidationError(f"trace {tr!r} differs from 1 beyond tolerance")
-        min_eig = _min_eigenvalue_on_support(mat)
+        if live is None:
+            min_eig = min(float(np.linalg.eigvalsh(sub)[0]), 0.0)
+        else:
+            min_eig = _min_eigenvalue_on_support(sub)
         if min_eig < -self.psd_tol:
             raise StateValidationError(
                 f"not positive semi-definite: min eigenvalue {min_eig:.3e}"
@@ -303,13 +344,23 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-#: Below this dimension the whole matrix is solved, both by the PSD check of
+#: Below this dimension a matrix is checked and solved whole, both by
 #: ``DensityMatrix`` and by ``min_pt_eigenvalue``. At dims 4-20 finding and
 #: copying the support costs more than the smaller eigensolve saves: with the
 #: support path at every dim, the small-batch benchmark read +4 % in
 #: ``latency_p50_s`` (10 interleaved pairs in one checkout, against +1 % for
 #: two copies of the same code).
 _SPLIT_MIN_DIM = 32
+
+
+def _live_indices(mat: np.ndarray) -> np.ndarray:
+    """Ascending indices whose row or column of ``mat`` has a nonzero bit.
+
+    Both axes count: a zero row whose column is nonzero still carries a
+    hermiticity defect. Each complex entry is read as two 64-bit words.
+    """
+    bits = np.ascontiguousarray(mat).view(np.uint64)
+    return np.flatnonzero(bits.any(axis=1) | bits.any(axis=0).reshape(-1, 2).any(axis=1))
 
 
 def _min_eigenvalue_on_support(mat: np.ndarray) -> float:
@@ -320,8 +371,6 @@ def _min_eigenvalue_on_support(mat: np.ndarray) -> float:
     submatrix's plus one 0 per dropped row. Clamping to 0 changes no
     comparison against a negative tolerance.
     """
-    if mat.shape[0] < _SPLIT_MIN_DIM:
-        return min(float(np.linalg.eigvalsh(mat)[0]), 0.0)
     keep = mat.any(axis=1)
     if not keep.any():
         return 0.0
@@ -505,12 +554,10 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
     trace, cross blocks are traceless.
     """
     mat, _ = _valid_scan(rho, s, zero_tol)
-    pt = partial_transpose(mat, s.d_a, s.d_b)
     type_a: list[SectorBlock] = []
     type_b: list[CrossBlock] = []
-    for sec, partner, flats_mq, flats_np in s._pt_blocks:
-        idx = np.asarray(flats_mq + flats_np)
-        block = pt[np.ix_(idx, idx)].copy()
+    for sec, partner, flats_mq, flats_np, rows, cols in s._pt_blocks:
+        block = mat[rows, cols]
         if partner is None:
             type_a.append(SectorBlock(sec, flats_mq, block))
         else:
@@ -522,26 +569,28 @@ def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
     """Smallest eigenvalue of the full partial transpose.
 
     From dim 32 up the minimum is taken over the texture's blocks (see
-    ``pt_block_decomposition``) whenever they are disjoint and every
-    nonzero entry of rho^{T2} lies inside one of them: permuting the
-    blocks' rows to the front then gives a block diagonal of the blocks
-    plus a zero block on the rows no block covers, so the spectrum is the
-    blocks' spectra plus one 0 per uncovered row. Otherwise, as for an
-    input with entries off the texture (including ones below ``zero_tol``)
-    or labels so close that the blocks overlap, and below dim 32, the whole
-    matrix is solved. Raises ``ValueError`` when rho^{T2} is not Hermitian.
+    ``pt_block_decomposition``), read straight from rho, whenever they are
+    disjoint and every nonzero entry of rho lies inside one of them (the
+    partial transpose only permutes entries, so then every nonzero entry
+    of rho^{T2} does): permuting the blocks' rows to the front then gives
+    a block diagonal of the blocks plus a zero block on the rows no block
+    covers, so the spectrum is the blocks' spectra plus one 0 per
+    uncovered row; a block with no nonzero entry adds zeros without an
+    eigensolve. Otherwise, as for an input with entries off the texture
+    (including ones below ``zero_tol``) or labels so close that the blocks
+    overlap, and below dim 32, rho^{T2} is built and solved whole. Raises
+    ``ValueError`` when rho^{T2} is not Hermitian.
     """
     mat = _matrix_of(rho)
     _check_dims(mat, s)
+    if s.dim >= _SPLIT_MIN_DIM and s._pt_cover[0]:
+        blocks = [mat[b.rows, b.cols] for b in s._pt_blocks]
+        counts = list(map(np.count_nonzero, blocks))
+        if sum(counts) == np.count_nonzero(mat):
+            low = min(
+                (float(eigenvalues_hermitian(b)[0]) if n else 0.0 for b, n in zip(blocks, counts)),
+                default=0.0,
+            )
+            return low if s._pt_cover[1] else min(low, 0.0)
     pt = partial_transpose(mat, s.d_a, s.d_b)
-    if s.dim >= _SPLIT_MIN_DIM:
-        indices = [b.flats_mq + b.flats_np for b in s._pt_blocks]
-        covered = sum(map(len, indices))
-        blocks = [pt[np.ix_(idx, idx)] for idx in indices]
-        if (
-            len(set().union(*indices)) == covered
-            and sum(map(np.count_nonzero, blocks)) == np.count_nonzero(pt)
-        ):
-            low = min((float(eigenvalues_hermitian(b)[0]) for b in blocks), default=0.0)
-            return min(low, 0.0) if covered < s.dim else low
     return float(eigenvalues_hermitian(pt)[0])

@@ -39,6 +39,28 @@ def random_shell_state(
     return DensityMatrix(mat)
 
 
+def chain_structure(n_spins: int) -> AdditiveStructure:
+    """Spin-1/2 chain cut n|n at J = 0: a party's label is its total S_z."""
+    labels = tuple((n_spins - 2 * bin(k).count("1")) / 2.0 for k in range(2**n_spins))
+    return AdditiveStructure(labels, labels, 0.0)
+
+
+def sector_diagonal_state(rng: np.random.Generator, s: AdditiveStructure) -> np.ndarray:
+    """Random state block diagonal over the shell sectors, as an array.
+
+    Every shell sector gets a full-support block, so there is no crossed
+    entry and every cross block of the partial transpose is zero.
+    """
+    mat = np.zeros((s.dim, s.dim), dtype=complex)
+    for sec in build_sectors(s):
+        if abs(sec.m_value + sec.q_value - s.j_total) > s.eps_j:
+            continue
+        flats = list(sec.flat_indices(s.d_b))
+        g = rng.normal(size=(len(flats),) * 2) + 1j * rng.normal(size=(len(flats),) * 2)
+        mat[np.ix_(flats, flats)] = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
 def random_structure(
     rng: np.random.Generator,
     d_a: int | None = None,

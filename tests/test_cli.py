@@ -292,3 +292,16 @@ class TestJsonBooleans:
         path = tmp_path / "ints.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["certify", str(path)]) == 0
+
+
+def test_certify_tests_a_sector_between_zero_tol_and_eps_zero(tmp_path, capsys):
+    # the sector (1, -1) has trace 5e-13, above --zero-tol 1e-15 and below
+    # EPS_ZERO = 1e-12: the block-PPT rung tests it rather than failing
+    mat = np.zeros((16, 16), dtype=complex)
+    for k in (0, 1, 4, 5):
+        mat[k, k] = (1 - 5e-13) / 4
+    mat[10, 10] = 5e-13
+    path = write_doc(tmp_path / "faint.json", (0, 0, 1, 1), (0, 0, -1, -1), 0, mat)
+    assert cli.main(["certify", path, "--format", "json", "--zero-tol", "1e-15"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["entanglementVerdict"]["status"] == "SEPARABLE_CERTIFIED"

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from addobs_certify import structure
+from addobs_certify.chsh import certify_nonlocality
 from addobs_certify.entanglement import (
     BlockWitness,
     CrossedEntry,
@@ -18,20 +22,25 @@ from addobs_certify.entanglement import (
 )
 from addobs_certify.higgs_zz import HiggsZZParams, params_from_measured, rho_from_params
 from addobs_certify.structure import (
+    EPS_PSD,
+    EPS_ZERO,
     AdditiveStructure,
     DensityMatrix,
     TextureError,
+    build_sectors,
     min_pt_eigenvalue,
     pt_block_decomposition,
 )
 
 from helpers import (
     bell_system,
+    chain_structure,
     make_rng,
     random_crossed_system,
     random_product_mixture,
     random_shell_state,
     random_type1_structure,
+    sector_diagonal_state,
 )
 
 
@@ -209,6 +218,87 @@ class TestCertify:
             mat[k, k] = 1.0 / len(flats)
         verdict = certify(DensityMatrix(mat), s)
         assert verdict.status is VerdictStatus.INCONCLUSIVE_PPT_PASSES
+
+
+def _block_rung_reference(mat, s, tol=EPS_ZERO, psd_tol=EPS_PSD) -> BlockWitness | None:
+    """The block-PPT rung as it read its blocks from ``pt_block_decomposition``."""
+    blocks = {b.sector.key: b for b in pt_block_decomposition(mat, s, tol).type_a}
+    worst = None
+    for cls in classify_sectors(s):
+        if cls.kind is SectorKind.TYPE1:
+            continue
+        block = blocks[cls.sector.key]
+        if float(np.trace(block.matrix).real) <= tol:
+            continue
+        low = block_ppt_min_eig(block)
+        if low < -psd_tol and (worst is None or low < worst.min_eigenvalue):
+            worst = BlockWitness(cls.sector, low)
+    return worst
+
+
+def _chain_sector_state(n_spins: int, seed: int, entangled: bool):
+    """Sector-diagonal chain state; when ``entangled``, half its weight is a
+    maximally entangled pair inside the largest shell sector."""
+    s = chain_structure(n_spins)
+    mat = sector_diagonal_state(make_rng(seed), s)
+    if entangled:
+        shell = [sec for sec in build_sectors(s) if sec.m_value + sec.q_value == s.j_total]
+        sec = max(shell, key=lambda sec: sec.deg_m * sec.deg_q)
+        psi = np.zeros(s.dim, dtype=complex)
+        for m, q in zip(sec.alice_indices, sec.bob_indices):
+            psi[s.flat_index(m, q)] = 1.0
+        psi /= np.linalg.norm(psi)
+        mat = 0.5 * mat + 0.5 * np.outer(psi, psi.conj())
+    return s, mat
+
+
+class TestBlockPptRung:
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    @pytest.mark.parametrize("entangled", [False, True])
+    def test_reads_sector_blocks_from_rho(self, n_spins, entangled, monkeypatch):
+        s, mat = _chain_sector_state(n_spins, 50 + n_spins, entangled)
+        rho = DensityMatrix(mat)
+        expected = _block_rung_reference(rho.matrix, s)
+        assert expected is not None or not entangled
+        # neither rho^{T2} nor pt_block_decomposition, which builds it
+        monkeypatch.setattr(structure, "partial_transpose", None)
+        verdict = certify(rho, s)
+        assert verdict.witness == expected
+        assert (verdict.status is VerdictStatus.ENTANGLED_CERTIFIED) == (expected is not None)
+
+    def test_sector_below_the_default_zero_tol_is_tested(self):
+        # the sector (1, -1) has trace 5e-13: above tol = 1e-15, so the rung
+        # tests it (as README "Tolerances" says zero_tol alone decides), and
+        # below EPS_ZERO, where block_ppt_min_eig refuses to normalize it
+        s = AdditiveStructure((0.0, 0.0, 1.0, 1.0), (0.0, 0.0, -1.0, -1.0), 0.0)
+        mat = np.zeros((16, 16), dtype=complex)
+        for k in (0, 1, 4, 5):
+            mat[k, k] = (1 - 5e-13) / 4
+        mat[10, 10] = 5e-13
+        rho = DensityMatrix(mat)
+        assert [c.kind for c in classify_sectors(s)] == [SectorKind.TYPE2] * 2
+        verdict = certify(rho, s, tol=1e-15)
+        assert verdict.status is VerdictStatus.SEPARABLE_CERTIFIED
+        assert verdict.witness is None
+        # at the default tolerance the sector is skipped instead
+        assert certify(rho, s).status is VerdictStatus.SEPARABLE_CERTIFIED
+
+    def test_chain_ladder_peak_memory(self):
+        # spin-1/2 chain 5|5 at J = 0 (rho is 16 MiB): the ladder reads blocks
+        # of at most 200 rows and builds no 1024 x 1024 array
+        s, mat = _chain_sector_state(5, 60, True)
+        rho = DensityMatrix(mat)
+        certify(rho, s)  # fills the structure's caches
+        tracemalloc.start()
+        try:
+            certify(rho, s)
+            reduced_purity(rho, s, "A")
+            reduced_purity(rho, s, "B")
+            certify_nonlocality(rho, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20
 
 
 class TestTheorem:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from addobs_certify import structure
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE, params_from_measured, rho_from_params
-from addobs_certify.linalg import partial_transpose
+from addobs_certify.linalg import EPS_HERM, as_square_matrix, partial_transpose
 from addobs_certify.structure import (
     EPS_PSD,
+    EPS_TR,
     AdditiveStructure,
     DensityMatrix,
     StateValidationError,
@@ -21,7 +25,15 @@ from addobs_certify.structure import (
     validate_additivity,
 )
 
-from helpers import bell_system, make_rng, random_crossed_system, random_shell_state, random_structure
+from helpers import (
+    bell_system,
+    chain_structure,
+    make_rng,
+    random_crossed_system,
+    random_shell_state,
+    random_structure,
+    sector_diagonal_state,
+)
 
 
 class TestAdditiveStructure:
@@ -177,6 +189,110 @@ class TestDensityMatrixSupport:
     def test_no_support_has_min_eigenvalue_zero(self, dim):
         # only reachable with a trace tolerance of at least 1
         assert DensityMatrix(np.zeros((dim, dim)), trace_tol=1.0).dim == dim
+
+
+def _whole_matrix_reference(matrix) -> np.ndarray:
+    """The checks ``DensityMatrix`` made on the whole matrix before it worked on
+    live rows, at the default tolerances and from dim 32 up: the stored
+    matrix, or the same ``StateValidationError``."""
+    mat = as_square_matrix(matrix)
+    if not np.isfinite(mat).all():
+        raise StateValidationError("density matrix has non-finite entries")
+    adjoint = np.conjugate(mat.T, order="C")
+    defect = float(np.max(np.abs(mat - adjoint)))
+    if defect > EPS_HERM:
+        raise StateValidationError(f"not Hermitian: defect {defect:.3e} exceeds {EPS_HERM:.3e}")
+    mat = (mat + adjoint) / 2.0
+    tr = float(np.trace(mat).real)
+    if abs(tr - 1.0) > EPS_TR:
+        raise StateValidationError(f"trace {tr!r} differs from 1 beyond tolerance")
+    keep = mat.any(axis=1)
+    min_eig = min(float(np.linalg.eigvalsh(mat[keep][:, keep])[0]), 0.0) if keep.any() else 0.0
+    if min_eig < -EPS_PSD:
+        raise StateValidationError(f"not positive semi-definite: min eigenvalue {min_eig:.3e}")
+    return mat
+
+
+def _outcome(build) -> bytes | str:
+    try:
+        return build().tobytes()
+    except StateValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def live_row_inputs(draw):
+    """Dim 32-64 matrices with random all-zero rows and columns, perturbed.
+
+    ``one-sided`` puts an entry in a live row whose transposed partner lies
+    in an all-zero row, so only the column shows it; ``defect`` adds an
+    anti-Hermitian part just above or below ``EPS_HERM``; ``trace`` misses
+    unit trace by ten times ``EPS_TR``; ``non-finite`` puts a NaN or an inf
+    anywhere, zero rows included; ``negative-zero`` writes -0.0 parts into
+    the zero rows.
+    """
+    dim = draw(st.integers(32, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.random(dim) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    if support.any():
+        mat = _state_on_support(int(rng.integers(2**32)), list(support), draw(st.booleans()))
+    else:
+        mat = np.zeros((dim, dim), dtype=complex)
+    dead = np.flatnonzero(~support)
+    kind = draw(st.sampled_from(["none", "one-sided", "defect", "trace", "non-finite", "negative-zero"]))
+    size = EPS_HERM * draw(st.sampled_from([0.5, 1 - 1e-6, 1 + 1e-6, 2.0, 1e6]))
+    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+    i, j = (int(k) for k in rng.integers(dim, size=2))
+    if kind == "one-sided" and dead.size:
+        mat[i, int(rng.choice(dead))] = size * phase
+    elif kind == "defect":
+        mat[i, j] += size * phase if i != j else 1j * size
+    elif kind == "trace":
+        mat *= 1.0 + 10 * EPS_TR
+    elif kind == "non-finite":
+        mat[i, j] = draw(st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 0.0)]))
+    elif kind == "negative-zero" and dead.size:
+        for _ in range(4):
+            r, c = int(rng.choice(dead)), int(rng.integers(dim))
+            mat[r, c] = draw(st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]))
+            mat[c, r] = draw(st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]))
+    return np.asfortranarray(mat) if draw(st.booleans()) else mat
+
+
+class TestDensityMatrixLiveRows:
+    """From dim 32 up the checks run on the live rows: same bits, same decisions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(live_row_inputs())
+    def test_same_bytes_and_messages_as_the_whole_matrix(self, mat):
+        assert _outcome(lambda: DensityMatrix(mat).matrix) == _outcome(lambda: _whole_matrix_reference(mat))
+
+    @pytest.mark.parametrize("size, accepted", [(0.5 * EPS_HERM, True), (2.0 * EPS_HERM, False)])
+    def test_entry_whose_partner_row_is_zero(self, size, accepted):
+        # row 3 is all zero, but column 3 holds the entry at (0, 3): a support
+        # taken from the rows alone would drop index 3 and miss the defect
+        mat = np.zeros((40, 40), dtype=complex)
+        mat[0, 0] = mat[1, 1] = 0.5
+        mat[0, 3] = size
+        assert _outcome(lambda: DensityMatrix(mat).matrix) == _outcome(lambda: _whole_matrix_reference(mat))
+        if accepted:
+            assert DensityMatrix(mat).matrix[3, 0] == size / 2
+        else:
+            with pytest.raises(StateValidationError, match="not Hermitian"):
+                DensityMatrix(mat)
+
+    def test_chain_state_peak_memory(self):
+        # spin-1/2 chain 5|5 at J = 0: rho is 16 MiB and 252 of its 1024 rows
+        # are live; the whole-matrix checks peaked at 40 MiB
+        s = chain_structure(5)
+        mat = sector_diagonal_state(make_rng(11), s)
+        tracemalloc.start()
+        try:
+            DensityMatrix(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestValidateAdditivity:
@@ -377,3 +493,78 @@ class TestMinPtEigenvalueBlocks:
         s = AdditiveStructure((1.2e-09,) + (50.0,) * 15, (-6e-10, 0.0), 1.8e-09)
         assert s.shell_pairs == ((0, 1),)
         assert min_pt_eigenvalue(np.zeros((32, 32)), s) == 0.0
+
+
+def _no_partial_transpose(*args, **kwargs):
+    raise AssertionError("partial_transpose called")
+
+
+class TestPtGathers:
+    """Each cached block reads its rho^{T2} entries straight from rho."""
+
+    @staticmethod
+    def _assert_gathers_match(s: AdditiveStructure, mat: np.ndarray) -> None:
+        pt = partial_transpose(mat, s.d_a, s.d_b)
+        for block in s._pt_blocks:
+            idx = np.asarray(block.flats_mq + block.flats_np)
+            assert mat[block.rows, block.cols].tobytes() == pt[np.ix_(idx, idx)].tobytes()
+
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    def test_chain_gathers_equal_the_partial_transpose(self, n_spins):
+        # any matrix, texture or not: the gather is a fixed permutation
+        s = chain_structure(n_spins)
+        rng = make_rng(n_spins)
+        mat = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+        self._assert_gathers_match(s, mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ja=st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=6),
+        jb=st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=6),
+        pick=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_degenerate_label_gathers_equal_the_partial_transpose(self, ja, jb, pick, seed):
+        sums = sorted({a + b for a in ja for b in jb})
+        s = AdditiveStructure(tuple(ja), tuple(jb), sums[pick % len(sums)])
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+        self._assert_gathers_match(s, mat)
+
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    @pytest.mark.parametrize("cross", ["zero", "nonzero"])
+    def test_min_pt_eigenvalue_without_the_partial_transpose(self, n_spins, cross, monkeypatch):
+        s = chain_structure(n_spins)
+        rng = make_rng(20 + n_spins)
+        if cross == "zero":
+            mat = sector_diagonal_state(rng, s)
+        else:
+            mat = random_shell_state(rng, s).matrix
+        dense = np.linalg.eigvalsh(partial_transpose(mat, s.d_a, s.d_b))[0]
+        monkeypatch.setattr(structure, "partial_transpose", _no_partial_transpose)
+        assert abs(min_pt_eigenvalue(mat, s) - dense) <= 1e-13
+
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    def test_entries_off_the_texture_take_the_dense_solve(self, n_spins, monkeypatch):
+        s = chain_structure(n_spins)
+        mat = sector_diagonal_state(make_rng(30 + n_spins), s)
+        row, col = s.shell_flats[0], _off_shell_flats(s)[0]
+        mat[row, col] = mat[col, row] = 1e-14
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return partial_transpose(*args)
+
+        monkeypatch.setattr(structure, "partial_transpose", counting)
+        dense = np.linalg.eigvalsh(partial_transpose(mat, s.d_a, s.d_b))[0]
+        assert min_pt_eigenvalue(mat, s) == dense
+        assert calls == [(s.d_a, s.d_b)]
+
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    def test_decomposition_reassembles_the_partial_transpose(self, n_spins, monkeypatch):
+        s = chain_structure(n_spins)
+        mat = random_shell_state(make_rng(40 + n_spins), s).matrix
+        expected = partial_transpose(mat, s.d_a, s.d_b)
+        monkeypatch.setattr(structure, "partial_transpose", _no_partial_transpose)
+        np.testing.assert_array_equal(pt_block_decomposition(mat, s).assemble(), expected)
