@@ -33,7 +33,6 @@ from .structure import (
     DensityMatrix,
     _check_dims,
     _matrix_of,
-    _nondegenerate,
     _valid_scan,
 )
 
@@ -290,24 +289,17 @@ def f_value(rho, obs: ChshObservables) -> float:
 
 def _validate_anchor(anchor: AnchorEntry, s: AdditiveStructure) -> None:
     m, p, n, q = anchor.m0, anchor.p0, anchor.n0, anchor.q0
-    for idx, bound in ((m, s.d_a), (n, s.d_a)):
+    for party, idx, bound in (("Alice", m, s.d_a), ("Alice", n, s.d_a), ("Bob", p, s.d_b), ("Bob", q, s.d_b)):
         if not 0 <= idx < bound:
-            raise ValueError(f"anchor Alice index {idx} out of range")
-    for idx, bound in ((p, s.d_b), (q, s.d_b)):
-        if not 0 <= idx < bound:
-            raise ValueError(f"anchor Bob index {idx} out of range")
+            raise ValueError(f"anchor {party} index {idx} out of range")
     if not (s.on_shell(m, p) and s.on_shell(n, q)):
         raise ValueError("anchor pairs must lie on the J shell")
-    # crossed (M+Q != J) in either orientation: conjugate anchors were found
-    # crossed from the upper-triangle entry, whose (M, Q) is (N0, P0) here
-    if (
-        abs(s.label_sum(m, q) - s.j_total) <= s.eps_j
-        and abs(s.label_sum(n, p) - s.j_total) <= s.eps_j
-    ):
+    # the shell is a matching of label groups, so with both pairs on it
+    # (M0, Q0) is on the shell exactly when (N0, P0) is: one test covers the
+    # conjugate anchors, found crossed from the upper-triangle entry
+    if s.on_shell(m, q):
         raise ValueError("anchor must be a crossed entry (M0+Q0 != J)")
-    if not (
-        _nondegenerate(s.alice_groups, s.d_a)[n] and _nondegenerate(s.bob_groups, s.d_b)[q]
-    ):
+    if not s._flat_flags[1][s.flat_index(n, q)]:
         raise ValueError("anchor column labels (N0, Q0) must be non-degenerate")
 
 

@@ -28,8 +28,8 @@ from .structure import (
     SectorBlock,
     _check_dims,
     _matrix_of,
+    _shell_sectors,
     _valid_scan,
-    build_sectors,
     min_pt_eigenvalue,
 )
 
@@ -105,11 +105,9 @@ def find_crossed_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> li
 
 
 def classify_sectors(s: AdditiveStructure) -> list[SectorClass]:
-    """Degeneracy classes for the shell sectors (M + Q = J only)."""
+    """Degeneracy classes for the shell sectors (M + Q = J only), sorted by (M, Q)."""
     classes = []
-    for sec in build_sectors(s):
-        if abs(sec.m_value + sec.q_value - s.j_total) > s.eps_j:
-            continue
+    for sec in _shell_sectors(s):
         dims = (sec.deg_m, sec.deg_q)
         if 1 in dims:
             kind = SectorKind.TYPE1

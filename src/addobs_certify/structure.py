@@ -16,15 +16,14 @@ blocks:
   (J-Q, J-M), producing a Hermitian block with zero diagonal sub-blocks,
   hence a spectrum symmetric about zero.
 
-Off-shell pairs without partner eigenvalues lie in no block; their rows of
-the partial transpose are zero. One partition of the basis pairs into these
-blocks is cached per structure, each block with the positions of rho its
-entries come from (the partial transpose only permutes entries), so no
-block needs rho^{T2} itself. It serves ``pt_block_decomposition``,
-``min_pt_eigenvalue`` and the block-PPT rung of ``entanglement.certify``:
-the smallest PT eigenvalue is the minimum over the block spectra (and 0
-for uncovered rows), checked first to be exact for the given matrix, with
-one dense eigensolve of rho^{T2} as the fallback.
+Every label test (shell, crossed, degeneracy, sector, partner) reads one
+shell table of label groups per structure, so the blocks are disjoint and
+hold every shell pair by construction. Off-shell pairs without partner
+eigenvalues lie in no block; their rows of the partial transpose are zero.
+The blocks are cached per structure with the positions of rho their entries
+come from (the partial transpose only permutes entries), so no block needs
+rho^{T2} itself. They serve ``pt_block_decomposition``, ``min_pt_eigenvalue``
+and the block-PPT rung of ``entanglement.certify``.
 """
 
 from __future__ import annotations
@@ -62,16 +61,27 @@ class TextureError(ValueError):
         )
 
 
-def _group_labels(values: tuple[float, ...], eps: float) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    """Cluster label values within eps; returns (representative, indices) pairs."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    groups: list[tuple[float, list[int]]] = []
-    for i in order:
-        if groups and abs(values[i] - groups[-1][0]) <= eps:
-            groups[-1][1].append(i)
-        else:
-            groups.append((values[i], [i]))
-    return tuple((rep, tuple(sorted(idx))) for rep, idx in groups)
+def _group_labels(values: tuple[float, ...], eps: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Each value's group number and the groups' representatives, ascending.
+
+    A value within eps of its group's representative, the smallest value of
+    the group, joins that group.
+    """
+    reps: list[float] = []
+    group = {}
+    for value in sorted(set(values)):
+        if not reps or value - reps[-1] > eps:
+            reps.append(value)
+        group[value] = len(reps) - 1
+    return tuple(map(group.__getitem__, values)), tuple(reps)
+
+
+def _groups(group_of: tuple[int, ...], reps: tuple[float, ...]) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """(representative, indices) of each label group, indices ascending."""
+    members: list[list[int]] = [[] for _ in reps]
+    for i, g in enumerate(group_of):
+        members[g].append(i)
+    return tuple(zip(reps, map(tuple, members)))
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,14 @@ class AdditiveStructure:
 
     ``j_alice[m]`` is the J_A eigenvalue of Alice's m-th basis state and
     ``j_bob[p]`` Bob's; ``j_total`` is the definite value of J_A + J_B.
-    At least one basis pair must lie on the shell M + P = J, otherwise no
-    state can satisfy the constraint.
+
+    Labels are grouped once: a label within ``eps_j`` of the smallest label
+    of its group joins that group (``alice_groups``, ``bob_groups``), and the
+    smallest label represents it. Two groups meet on the shell M + P = J
+    when their representatives sum to J within ``eps_j``; every label test
+    reads this one table. It must be nonempty (else no state satisfies the
+    constraint) and a partial matching (a group meeting two groups of the
+    other party makes the texture ambiguous), or ``ValueError`` is raised.
     """
 
     j_alice: tuple[float, ...]
@@ -90,18 +106,34 @@ class AdditiveStructure:
     eps_j: float = field(default=EPS_J, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "j_alice", tuple(float(v) for v in self.j_alice))
-        object.__setattr__(self, "j_bob", tuple(float(v) for v in self.j_bob))
-        object.__setattr__(self, "j_total", float(self.j_total))
-        labels = self.j_alice + self.j_bob + (self.j_total,)
-        if not all(np.isfinite(labels)):
+        j_alice, j_bob = tuple(map(float, self.j_alice)), tuple(map(float, self.j_bob))
+        j_total, eps = float(self.j_total), self.eps_j
+        if not all(map(math.isfinite, j_alice + j_bob + (j_total,))):
             raise ValueError("eigenvalue labels must be finite")
-        if not self.j_alice or not self.j_bob:
+        if not j_alice or not j_bob:
             raise ValueError("each party needs at least one basis label")
-        if not self.shell_pairs:
-            raise ValueError(
-                "no basis pair satisfies M + P = J; the constrained state space is empty"
-            )
+        alice_of, alice_reps = _group_labels(j_alice, eps)
+        bob_of, bob_reps = _group_labels(j_bob, eps)
+        # the shell table: the Bob group on the shell with each Alice group
+        # and the Alice group on the shell with each Bob group, or -1
+        bob_match, alice_match = [-1] * len(alice_reps), [-1] * len(bob_reps)
+        for a, m_value in enumerate(alice_reps):
+            for b, p_value in enumerate(bob_reps):
+                if abs(m_value + p_value - j_total) <= eps:
+                    if bob_match[a] >= 0 or alice_match[b] >= 0:
+                        raise ValueError(
+                            f"ambiguous labels: the J_A group at {m_value!r} and the J_B group at "
+                            f"{p_value!r} sum to J, but one of them already does with another group"
+                        )
+                    bob_match[a], alice_match[b] = b, a
+        if max(bob_match) < 0:
+            raise ValueError("no basis pair satisfies M + P = J; the constrained state space is empty")
+        # one dict update past the frozen __setattr__: construction cost counts
+        self.__dict__.update(
+            j_alice=j_alice, j_bob=j_bob, j_total=j_total,
+            _alice_of=alice_of, _alice_reps=alice_reps, _bob_of=bob_of, _bob_reps=bob_reps,
+            _bob_match=tuple(bob_match), _alice_match=tuple(alice_match),
+        )
 
     @property
     def d_a(self) -> int:
@@ -125,17 +157,13 @@ class AdditiveStructure:
         return self.j_alice[m] + self.j_bob[p]
 
     def on_shell(self, m: int, p: int) -> bool:
-        return abs(self.label_sum(m, p) - self.j_total) <= self.eps_j
+        """Whether the label groups of Alice's m and Bob's p meet on the shell."""
+        return self._bob_match[self._alice_of[m]] == self._bob_of[p]
 
     @cached_property
     def shell_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All (m, p) with J_A[m] + J_B[p] = J."""
-        return tuple(
-            (m, p)
-            for m in range(self.d_a)
-            for p in range(self.d_b)
-            if self.on_shell(m, p)
-        )
+        """All (m, p) on the shell M + P = J, in flat order."""
+        return tuple((m, p) for m in range(self.d_a) for p in range(self.d_b) if self.on_shell(m, p))
 
     @cached_property
     def shell_flats(self) -> tuple[int, ...]:
@@ -143,35 +171,42 @@ class AdditiveStructure:
 
     @cached_property
     def alice_groups(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
-        return _group_labels(self.j_alice, self.eps_j)
+        return _groups(self._alice_of, self._alice_reps)
 
     @cached_property
     def bob_groups(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
-        return _group_labels(self.j_bob, self.eps_j)
+        return _groups(self._bob_of, self._bob_reps)
+
+    @cached_property
+    def _flat_flags(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per flat index (m, p): on the shell, and both labels alone in their group."""
+        alice, bob = np.array(self._alice_of), np.array(self._bob_of)
+        shell = np.array(self._bob_match)[alice][:, None] == bob
+        alone = np.logical_and.outer(np.bincount(alice)[alice] == 1, np.bincount(bob)[bob] == 1)
+        return shell.ravel(), alone.ravel()
 
     @cached_property
     def _pt_blocks(self) -> tuple[_PtBlock, ...]:
         """The blocks of rho^{T2} forced by the texture, in sector order.
 
-        One block per shell sector (M + Q = J) and one per cross pair of
-        off-shell sectors (M, Q) and (J-Q, J-M), from its lexicographically
-        smaller side. An off-shell sector without partner eigenvalues is in
-        no block: for a texture-valid rho its rows of rho^{T2} are zero.
+        One block per shell sector and one per off-shell sector (M, Q) and
+        its partner (N, P), taken from the smaller side: N is the group on
+        the shell with Q and P the one with M. The shell table is a
+        matching, so the partner of (N, P) is (M, Q) and the blocks are
+        disjoint. A sector whose M or Q meets no group on the shell is in no
+        block: for a texture-valid rho its rows of rho^{T2} are zero.
         """
         sectors = build_sectors(self)
-        by_key = {sec.key: sec for sec in sectors}
+        n_bob = len(self.bob_groups)
         blocks = []
-        for sec in sectors:
+        for k, sec in enumerate(sectors):
+            a, b = divmod(k, n_bob)
+            n, p = self._alice_match[b], self._bob_match[a]
             flats = sec.flat_indices(self.d_b)
-            if abs(sec.m_value + sec.q_value - self.j_total) <= self.eps_j:
+            if p == b:
                 blocks.append(self._new_pt_block(sec, None, flats, ()))
-                continue
-            alice_partner = self.alice_group(self.j_total - sec.q_value)
-            bob_partner = self.bob_group(self.j_total - sec.m_value)
-            if alice_partner is None or bob_partner is None:
-                continue
-            partner = by_key[(alice_partner[0], bob_partner[0])]
-            if sec.key <= partner.key:
+            elif n >= 0 and p >= 0 and k < n * n_bob + p:
+                partner = sectors[n * n_bob + p]
                 blocks.append(self._new_pt_block(sec, partner, flats, partner.flat_indices(self.d_b)))
         return tuple(blocks)
 
@@ -184,23 +219,11 @@ class AdditiveStructure:
         cols = alice[None, :] + bob[:, None]
         return _PtBlock(sector, partner, flats_mq, flats_np, rows, cols)
 
-    @cached_property
-    def _pt_cover(self) -> tuple[bool, bool]:
-        """Whether the ``_pt_blocks`` share no row, and whether they cover every row."""
-        flats = [f for b in self._pt_blocks for f in b.flats_mq + b.flats_np]
-        return len(set(flats)) == len(flats), len(flats) == self.dim
-
     def alice_group(self, value: float) -> tuple[float, tuple[int, ...]] | None:
-        for rep, idx in self.alice_groups:
-            if abs(rep - value) <= self.eps_j:
-                return rep, idx
-        return None
+        return next((g for g in self.alice_groups if abs(g[0] - value) <= self.eps_j), None)
 
     def bob_group(self, value: float) -> tuple[float, tuple[int, ...]] | None:
-        for rep, idx in self.bob_groups:
-            if abs(rep - value) <= self.eps_j:
-                return rep, idx
-        return None
+        return next((g for g in self.bob_groups if abs(g[0] - value) <= self.eps_j), None)
 
     def alice_indices(self, value: float) -> tuple[int, ...]:
         group = self.alice_group(value)
@@ -261,18 +284,26 @@ class _PtBlock(NamedTuple):
 
 
 def build_sectors(s: AdditiveStructure) -> list[Sector]:
-    """One sector for each distinct (M, Q) eigenvalue pair, sorted by (M, Q).
+    """One sector for each pair of label groups, sorted by (M, Q).
 
     The sectors partition all d_a * d_b basis pairs; degeneracies are the
-    group sizes of the respective labels.
+    group sizes of the respective labels. Each party's groups ascend, so the
+    sector of Alice's group a and Bob's group b is at a * len(s.bob_groups) + b.
     """
-    sectors = [
+    return [
         Sector(m_value, q_value, a_idx, b_idx)
         for m_value, a_idx in s.alice_groups
         for q_value, b_idx in s.bob_groups
     ]
-    sectors.sort(key=lambda sec: sec.key)
-    return sectors
+
+
+def _shell_sectors(s: AdditiveStructure) -> list[Sector]:
+    """The sectors on the shell (M + Q = J), sorted by (M, Q)."""
+    return [
+        Sector(m_value, s.bob_groups[b][0], a_idx, s.bob_groups[b][1])
+        for (m_value, a_idx), b in zip(s.alice_groups, s._bob_match)
+        if b >= 0
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,13 +452,6 @@ class _TextureScan(NamedTuple):
     anchor_conjugate: np.ndarray
 
 
-def _nondegenerate(groups, size: int) -> np.ndarray:
-    """Per-index flags: the index is alone in its label group."""
-    flags = np.zeros(size, dtype=bool)
-    flags[[idx[0] for _, idx in groups if len(idx) == 1]] = True
-    return flags
-
-
 def _scan_texture(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarray, _TextureScan]:
     """The matrix of ``rho`` and the classification of its entries above ``zero_tol``."""
     mat = _matrix_of(rho)
@@ -435,8 +459,7 @@ def _scan_texture(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarra
     if not (math.isfinite(zero_tol) and zero_tol >= 0.0):
         raise ValueError(f"zero_tol must be finite and nonnegative, got {zero_tol!r}")
     d_b = s.d_b
-    sums = np.add.outer(s.j_alice, s.j_bob).ravel()
-    shell = np.abs(sums - s.j_total) <= s.eps_j
+    shell, nondeg = s._flat_flags
     flat = np.flatnonzero(np.abs(mat) > zero_tol)
     rows, cols = np.divmod(flat, s.dim)
     valid = shell[rows] & shell[cols]
@@ -446,15 +469,8 @@ def _scan_texture(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarra
         bad = ~valid
         violations = [
             TextureViolation(
-                row=row,
-                col=col,
-                alice_row=row // d_b,
-                bob_row=row % d_b,
-                alice_col=col // d_b,
-                bob_col=col % d_b,
-                value=value,
-                row_label_sum=float(sums[row]),
-                col_label_sum=float(sums[col]),
+                row, col, *divmod(row, d_b), *divmod(col, d_b), value,
+                s.label_sum(*divmod(row, d_b)), s.label_sum(*divmod(col, d_b)),
             )
             for row, col, value in zip(
                 rows[bad].tolist(), cols[bad].tolist(), mat.ravel()[flat[bad]].tolist()
@@ -465,9 +481,6 @@ def _scan_texture(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarra
     m_q = rows - rows % d_b + cols % d_b
     crossed = valid & ~shell[m_q] & (rows < cols)
     rows, cols = rows[crossed], cols[crossed]
-    nondeg = np.logical_and.outer(
-        _nondegenerate(s.alice_groups, s.d_a), _nondegenerate(s.bob_groups, s.d_b)
-    ).ravel()
     forward = nondeg[cols]
     conjugate = ~forward & nondeg[rows]
     return mat, _TextureScan(violations, rows, cols, forward, conjugate)
@@ -568,29 +581,23 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
 def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
     """Smallest eigenvalue of the full partial transpose.
 
-    From dim 32 up the minimum is taken over the texture's blocks (see
-    ``pt_block_decomposition``), read straight from rho, whenever they are
-    disjoint and every nonzero entry of rho lies inside one of them (the
-    partial transpose only permutes entries, so then every nonzero entry
-    of rho^{T2} does): permuting the blocks' rows to the front then gives
-    a block diagonal of the blocks plus a zero block on the rows no block
-    covers, so the spectrum is the blocks' spectra plus one 0 per
-    uncovered row; a block with no nonzero entry adds zeros without an
-    eigensolve. Otherwise, as for an input with entries off the texture
-    (including ones below ``zero_tol``) or labels so close that the blocks
-    overlap, and below dim 32, rho^{T2} is built and solved whole. Raises
-    ``ValueError`` when rho^{T2} is not Hermitian.
+    From dim 32 up the minimum is taken over the texture's disjoint blocks
+    (see ``pt_block_decomposition``), read straight from rho, whenever every
+    nonzero entry of rho lies inside one of them (the partial transpose only
+    permutes entries, so then every nonzero entry of rho^{T2} does): the
+    spectrum is the blocks' spectra plus one 0 per row in no block, and a
+    block with no nonzero entry adds zeros without an eigensolve. Otherwise,
+    as for an input with entries off the texture (including ones below
+    ``zero_tol``), and below dim 32, rho^{T2} is built and solved whole.
+    Raises ``ValueError`` when rho^{T2} is not Hermitian.
     """
     mat = _matrix_of(rho)
     _check_dims(mat, s)
-    if s.dim >= _SPLIT_MIN_DIM and s._pt_cover[0]:
+    if s.dim >= _SPLIT_MIN_DIM:
         blocks = [mat[b.rows, b.cols] for b in s._pt_blocks]
         counts = list(map(np.count_nonzero, blocks))
         if sum(counts) == np.count_nonzero(mat):
-            low = min(
-                (float(eigenvalues_hermitian(b)[0]) if n else 0.0 for b, n in zip(blocks, counts)),
-                default=0.0,
-            )
-            return low if s._pt_cover[1] else min(low, 0.0)
+            low = min(float(eigenvalues_hermitian(b)[0]) if n else 0.0 for b, n in zip(blocks, counts))
+            return low if sum(map(len, blocks)) == s.dim else min(low, 0.0)
     pt = partial_transpose(mat, s.d_a, s.d_b)
     return float(eigenvalues_hermitian(pt)[0])

@@ -267,6 +267,31 @@ class TestArgumentChecks:
         assert "--grid" in capsys.readouterr().err
 
 
+BAD_LABEL_DOCS = {
+    # no pair sums to J: the constrained state space is empty
+    "empty_shell": {"dimA": 1, "dimB": 1, "jA": [1], "jB": [1], "jTotal": 0, "matrix": [[1]]},
+    # Alice's label sums to J within EPS_J with two Bob labels 1.8e-9 apart
+    "ambiguous": {
+        "dimA": 1, "dimB": 2, "jA": [0], "jB": [-6e-10, 1.2e-9], "jTotal": 3e-10,
+        "matrix": [[0.5, 0], [0, 0.5]],
+    },
+}
+
+
+class TestBadLabels:
+    @pytest.mark.parametrize("command", ["validate", "certify"])
+    @pytest.mark.parametrize("name", sorted(BAD_LABEL_DOCS))
+    def test_bad_labels_are_domain_errors(self, tmp_path, command, name, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(BAD_LABEL_DOCS[name]))
+        assert cli.main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert ("ambiguous labels" if name == "ambiguous" else "no basis pair satisfies") in err
+
+
 BOOLEAN_DOCS = {
     "dims_and_entry": {"dimA": True, "dimB": True, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[True]]},
     "dim": {"dimA": True, "dimB": 1, "jA": [0], "jB": [0], "jTotal": 0, "matrix": [[1]]},

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from addobs_certify import structure
 from addobs_certify.chsh import certify_nonlocality
@@ -50,6 +52,32 @@ def type2_bell_system() -> tuple[AdditiveStructure, DensityMatrix]:
     mat = np.zeros((9, 9), dtype=complex)
     # internal (|01> + |10>)/sqrt(2) over Alice {0,1} x Bob {0,1}
     mat[1, 1] = mat[3, 3] = mat[1, 3] = mat[3, 1] = 0.5
+    return s, DensityMatrix(mat)
+
+
+@st.composite
+def crossed_shell_states(draw):
+    """Exact-texture states of dim 4-64 with crossed positions; crossed entries scaled down.
+
+    Integer labels with two shell pairs in different sectors. Scaling every
+    entry between two shell sectors by ``coupling`` mixes the state with
+    its sector-diagonal part, so it stays a state; small couplings put the
+    crossed entries far below ``psd_tol``.
+    """
+    d_a, d_b = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    labels = st.integers(-2, 2).map(float)
+    ja = draw(st.lists(labels, min_size=d_a, max_size=d_a))
+    jb = draw(st.lists(labels, min_size=d_b, max_size=d_b))
+    ja[1] = ja[0] + draw(st.sampled_from([-1.0, 1.0]))
+    total = ja[0] + jb[0]
+    jb[1] = total - ja[1]
+    s = AdditiveStructure(
+        tuple(draw(st.permutations(ja))), tuple(draw(st.permutations(jb))), total
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = random_shell_state(rng, s, draw(st.sampled_from([None, 1, 2]))).matrix.copy()
+    alice = np.asarray(s.j_alice)[np.arange(s.dim) // s.d_b]
+    mat[np.not_equal.outer(alice, alice)] *= draw(st.sampled_from([1.0, 1e-4, 1e-9]))
     return s, DensityMatrix(mat)
 
 
@@ -315,6 +343,17 @@ class TestTheorem:
             verdict = certify(rho, s)
             assert verdict.status is VerdictStatus.ENTANGLED_CERTIFIED
             assert verdict.min_pt_eigenvalue < 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(crossed_shell_states())
+    def test_crossed_witness_bounds_the_min_pt_eigenvalue(self, case):
+        # for an exact texture the witness a is an entry of a cross block's
+        # coupling C, so lambda_min(rho^{T2}) = -sigma_max(C) <= -|a|, even
+        # when |a| lies far inside psd_tol
+        s, rho = case
+        verdict = certify(rho, s)
+        assume(isinstance(verdict.witness, CrossedEntry))
+        assert min_pt_eigenvalue(rho, s) <= -abs(verdict.witness.value) + 1e-13
 
 
 class TestType1Equivalence:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addobs_certify import structure
+from addobs_certify.entanglement import classify_sectors
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE, params_from_measured, rho_from_params
 from addobs_certify.linalg import EPS_HERM, as_square_matrix, partial_transpose
 from addobs_certify.structure import (
+    EPS_J,
     EPS_PSD,
     EPS_TR,
     AdditiveStructure,
@@ -55,6 +58,95 @@ class TestAdditiveStructure:
     def test_non_finite_labels_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             AdditiveStructure((float("nan"), 0.0), (0.0,), 0.0)
+
+
+def _near(integers):
+    """Integers moved by k * 0.6e-9, |k| <= 3: label groups within 2 * EPS_J of each other."""
+    return st.builds(lambda n, k: n + k * 0.6e-9, integers, st.integers(-3, 3))
+
+
+@st.composite
+def near_degenerate_labels(draw):
+    """Label sets whose groups can meet the shell ambiguously, with a total most often on some raw pair sum."""
+    d_a, d_b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    ja = draw(st.lists(_near(st.integers(-2, 2)), min_size=d_a, max_size=d_a))
+    jb = draw(st.lists(_near(st.integers(-2, 2)), min_size=d_b, max_size=d_b))
+    total = draw(_near(st.sampled_from([round(ja[0] + jb[0]), round(ja[-1] + jb[-1])])))
+    return tuple(ja), tuple(jb), total
+
+
+@st.composite
+def separated_labels(draw):
+    """Half-integer labels with at most 2e-10 jitter, a total on a pair sum's grid point or not."""
+    jitter = st.floats(-2e-10, 2e-10)
+    grid = st.integers(-6, 6).map(lambda v: 0.5 * v)
+    label = st.builds(lambda v, e: v + e, grid, jitter)
+    ja = draw(st.lists(label, min_size=1, max_size=6))
+    jb = draw(st.lists(label, min_size=1, max_size=6))
+    on_grid = 0.5 * round(2.0 * (draw(st.sampled_from(ja)) + draw(st.sampled_from(jb))))
+    total = draw(st.one_of(st.just(on_grid), grid)) + draw(jitter)
+    return tuple(ja), tuple(jb), total
+
+
+class TestShellTable:
+    """Shell, sectors and blocks are all read from one group-level shell table."""
+
+    def test_labels_with_overlapping_cross_blocks_rejected(self):
+        # labels within EPS_J of each other: Alice's group at 1.0000000012
+        # sums to J with Bob's groups at -1.0000000006 and -0.9999999994, so
+        # the cross blocks of flats (8, 5) and (10, 5) would share row 5
+        with pytest.raises(ValueError, match="ambiguous labels"):
+            AdditiveStructure(
+                (0.9999999982, 1.0000000012, 6e-10, 0.9999999988) + (50.0,) * 4,
+                (-1.0000000006, 1.2e-09, -0.9999999994, 0.9999999982),
+                1.2e-09,
+            )
+
+    def test_shell_pair_in_no_sector_rejected(self):
+        # labels within EPS_J of each other: the pair (0, 1) sums to J, but
+        # its Bob label joins the group represented by -6e-10, which does
+        # not, so no sector would hold it; the shell is empty on the groups
+        with pytest.raises(ValueError, match="no basis pair satisfies M \\+ P = J"):
+            AdditiveStructure((1.2e-09,) + (50.0,) * 15, (-6e-10, 0.0), 1.8e-09)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_degenerate_labels(), st.integers(0, 2**32 - 1))
+    def test_near_degenerate_labels_are_rejected_or_partitioned(self, labels, seed):
+        try:
+            s = AdditiveStructure(*labels)
+        except ValueError:
+            return
+        owners = Counter(
+            (m, q)
+            for cls in classify_sectors(s)
+            for m in cls.sector.alice_indices
+            for q in cls.sector.bob_indices
+        )
+        assert set(owners) == set(s.shell_pairs)
+        assert set(owners.values()) == {1}
+        flats = [f for block in s._pt_blocks for f in block.flats_mq + block.flats_np]
+        assert len(flats) == len(set(flats))
+        rho = random_shell_state(np.random.default_rng(seed), s)
+        pt = partial_transpose(rho.matrix, s.d_a, s.d_b)
+        np.testing.assert_array_equal(pt_block_decomposition(rho, s).assemble(), pt)
+        if s.dim >= 32:
+            assert abs(min_pt_eigenvalue(rho, s) - np.linalg.eigvalsh(pt)[0]) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(separated_labels())
+    def test_on_shell_is_the_raw_label_sum_for_separated_labels(self, labels):
+        ja, jb, total = labels
+        raw = [
+            (m, p) for m in range(len(ja)) for p in range(len(jb))
+            if abs(ja[m] + jb[p] - total) <= EPS_J
+        ]
+        if not raw:
+            with pytest.raises(ValueError, match="no basis pair"):
+                AdditiveStructure(ja, jb, total)
+            return
+        s = AdditiveStructure(ja, jb, total)
+        assert [(m, p) for m in range(s.d_a) for p in range(s.d_b) if s.on_shell(m, p)] == raw
+        assert list(s.shell_pairs) == raw
 
 
 class TestBuildSectors:
@@ -471,28 +563,6 @@ class TestMinPtEigenvalueBlocks:
         mat[flats, flats] = 1.0 / 16.0
         assert np.linalg.eigvalsh(partial_transpose(mat, 8, 8))[0] == 0.0
         assert min_pt_eigenvalue(mat, s) == 0.0
-
-    def test_overlapping_blocks_take_the_dense_solve(self):
-        # labels within EPS_J of each other: the cross blocks of flats (8, 5)
-        # and (10, 5) share row 5, whose PT couplings to 8 and 10 form one
-        # star with eigenvalues +-0.2 * sqrt(2); the two blocks alone would
-        # give -0.2. Alice's labels 50 only add rows outside every block.
-        s = AdditiveStructure(
-            (0.9999999982, 1.0000000012, 6e-10, 0.9999999988) + (50.0,) * 4,
-            (-1.0000000006, 1.2e-09, -0.9999999994, 0.9999999982),
-            1.2e-09,
-        )
-        mat = np.zeros((32, 32), dtype=complex)
-        mat[[4, 6, 9], [4, 6, 9]] = 1.0 / 3.0
-        mat[4, 9] = mat[9, 4] = mat[6, 9] = mat[9, 6] = 0.2
-        assert min_pt_eigenvalue(mat, s) == pytest.approx(-0.2 * np.sqrt(2.0), abs=1e-12)
-
-    def test_no_blocks_and_no_entries(self):
-        # labels within EPS_J of each other can put even the one shell pair,
-        # (0, 1), in an off-shell sector: there is no block at all
-        s = AdditiveStructure((1.2e-09,) + (50.0,) * 15, (-6e-10, 0.0), 1.8e-09)
-        assert s.shell_pairs == ((0, 1),)
-        assert min_pt_eigenvalue(np.zeros((32, 32)), s) == 0.0
 
 
 def _no_partial_transpose(*args, **kwargs):
