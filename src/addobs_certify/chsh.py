@@ -31,9 +31,9 @@ from .structure import (
     EPS_ZERO,
     AdditiveStructure,
     DensityMatrix,
+    _Analysis,
     _check_dims,
     _matrix_of,
-    _valid_scan,
 )
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -173,17 +173,12 @@ def find_anchor_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> lis
     the row pair (M0, P0) is non-degenerate, the conjugate entry takes over
     the anchor role.
     """
-    mat, scan = _valid_scan(rho, s, tol)
-    keep = scan.anchor_forward | scan.anchor_conjugate
-    forward = scan.anchor_forward[keep]
-    rows, cols = scan.crossed_rows[keep], scan.crossed_cols[keep]
-    rows, cols = np.where(forward, rows, cols), np.where(forward, cols, rows)
-    values = mat[rows, cols].tolist()
-    d_b = s.d_b
-    return [
-        AnchorEntry(row // d_b, row % d_b, col // d_b, col % d_b, value)
-        for row, col, value in zip(rows.tolist(), cols.tolist(), values)
-    ]
+    analysis = _Analysis(rho, s, tol)
+    return [_anchor_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.anchors())]
+
+
+def _anchor_entry(row: int, col: int, value: complex, d_b: int) -> AnchorEntry:
+    return AnchorEntry(*divmod(row, d_b), *divmod(col, d_b), value)
 
 
 def reorder_basis(anchor: AnchorEntry, s: AdditiveStructure) -> BasisReordering:
@@ -303,18 +298,18 @@ def _validate_anchor(anchor: AnchorEntry, s: AdditiveStructure) -> None:
         raise ValueError("anchor column labels (N0, Q0) must be non-degenerate")
 
 
-def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, anchor: AnchorEntry) -> float:
-    """2 * [1 + hypot(2|a|, <Oz>) - <Oz>] for one anchor, from entries of rho.
+def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, row: int, col: int) -> float:
+    """2 * [1 + hypot(2|a|, <Oz>) - <Oz>] for the anchor rho[row, col], from entries.
 
     ``diag`` is diag(rho) as d_a x d_b. After the anchor's reordering the
     diagonal entries in <Oz> sit at (m0,p0), (n0,q0) and in Bob's column p0
     for the other Alice indices, summed in ascending order.
     """
-    m0, p0, n0, q0 = anchor.m0, anchor.p0, anchor.n0, anchor.q0
     d_a, d_b = diag.shape
+    (m0, p0), (n0, q0) = divmod(row, d_b), divmod(col, d_b)
     rest = [i for i in range(d_a) if i not in (m0, n0)]
     oz = float(diag[m0, p0] + diag[n0, q0] + np.sum(diag[rest, p0]))
-    a_abs = abs(mat[anchor.row(d_b), anchor.col(d_b)])
+    a_abs = abs(mat[row, col])
     return 2.0 * (1.0 + math.hypot(2.0 * a_abs, oz) - oz)
 
 
@@ -354,7 +349,7 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     reorder = reorder_basis(anchor, s)
     d_a, d_b = s.d_a, s.d_b
     diag = mat.diagonal().real.reshape(d_a, d_b)
-    f_max = _closed_form_f_max(mat, diag, anchor)
+    f_max = _closed_form_f_max(mat, diag, anchor.row(d_b), anchor.col(d_b))
 
     ox, oy, oz = _o_vector(mat, diag, reorder)
     norm = math.sqrt(ox**2 + oy**2 + oz**2)
@@ -502,10 +497,15 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
     construction cannot certify a violation. Anchors are scanned in
     ascending flat order and ties in the maximum keep the first.
     """
-    anchors = find_anchor_entries(rho, s, tol)
+    return _certify_nonlocality(_Analysis(rho, s, tol))
+
+
+def _certify_nonlocality(analysis: _Analysis) -> ChshCertificate | None:
+    """``certify_nonlocality`` on one record: one ``AnchorEntry``, for the first maximum."""
+    anchors = analysis.entries(*analysis.anchors())
     if not anchors:
         return None
-    mat = _matrix_of(rho)
+    mat, s = analysis.mat, analysis.s
     diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
-    f_all = [_closed_form_f_max(mat, diag, a) for a in anchors]
-    return f_max_closed_form(mat, anchors[f_all.index(max(f_all))], s)
+    f_all = [_closed_form_f_max(mat, diag, row, col) for row, col, _ in anchors]
+    return f_max_closed_form(mat, _anchor_entry(*anchors[f_all.index(max(f_all))], s.d_b), s)

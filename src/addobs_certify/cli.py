@@ -25,12 +25,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chsh import ChshCertificate, certify_nonlocality, grid_verify
+from .chsh import ChshCertificate, _certify_nonlocality, grid_verify
 from .entanglement import (
     BlockWitness,
     CrossedEntry,
     EntanglementVerdict,
-    certify,
+    _certify,
     classify_sectors,
     reduced_purity,
 )
@@ -50,6 +50,7 @@ from .structure import (
     DensityMatrix,
     StateValidationError,
     TextureViolation,
+    _Analysis,
     validate_additivity,
 )
 
@@ -294,7 +295,8 @@ def _parse_zero_tol(text: str) -> float:
 
 def cmd_certify(args) -> int:
     structure, state = load_document(args.path)
-    violations = validate_additivity(state, structure, args.zero_tol)
+    analysis = _Analysis(state, structure, args.zero_tol)
+    violations = analysis.violations
     if violations:
         payload = {
             "textureViolations": [_violation_dict(v) for v in violations],
@@ -303,11 +305,11 @@ def cmd_certify(args) -> int:
         _emit(payload, args, _violation_lines(violations))
         return EXIT_DOMAIN
 
-    verdict: EntanglementVerdict = certify(state, structure, tol=args.zero_tol)
+    verdict: EntanglementVerdict = _certify(analysis)
     purity_a = reduced_purity(state, structure, "A")
     purity_b = reduced_purity(state, structure, "B")
     classes = classify_sectors(structure)
-    cert = certify_nonlocality(state, structure, tol=args.zero_tol)
+    cert = _certify_nonlocality(analysis)
 
     grid_info = None
     if cert is not None and args.grid is not None:

@@ -26,11 +26,10 @@ from .structure import (
     DensityMatrix,
     Sector,
     SectorBlock,
+    _Analysis,
     _check_dims,
+    _check_tol,
     _matrix_of,
-    _shell_sectors,
-    _valid_scan,
-    min_pt_eigenvalue,
 )
 
 
@@ -92,22 +91,18 @@ def find_crossed_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> li
     ``TextureError`` otherwise. Entries are reported in ascending flat
     (row, col) order with the upper-triangle orientation.
     """
-    mat, scan = _valid_scan(rho, s, tol)
-    rows, cols = scan.crossed_rows.tolist(), scan.crossed_cols.tolist()
-    values = mat[scan.crossed_rows, scan.crossed_cols].tolist()
-    d_b = s.d_b
-    return [
-        CrossedEntry(
-            alice=(row // d_b, col // d_b), bob=(row % d_b, col % d_b), value=value, row=row, col=col
-        )
-        for row, col, value in zip(rows, cols, values)
-    ]
+    analysis = _Analysis(rho, s, tol).valid()
+    return [_crossed_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.crossed)]
+
+
+def _crossed_entry(row: int, col: int, value: complex, d_b: int) -> CrossedEntry:
+    return CrossedEntry((row // d_b, col // d_b), (row % d_b, col % d_b), value, row, col)
 
 
 def classify_sectors(s: AdditiveStructure) -> list[SectorClass]:
-    """Degeneracy classes for the shell sectors (M + Q = J only), sorted by (M, Q)."""
+    """Degeneracy classes of the shell sectors (M + Q = J), sorted by (M, Q) as their PT blocks."""
     classes = []
-    for sec in _shell_sectors(s):
+    for sec in (b.sector for b in s._pt_blocks if b.partner is None):
         dims = (sec.deg_m, sec.deg_q)
         if 1 in dims:
             kind = SectorKind.TYPE1
@@ -124,16 +119,17 @@ def block_ppt_min_eig(block: SectorBlock, normalize: bool = True) -> float:
 
     The sector block already carries the sector state with Bob's internal
     index transposed, so its own spectrum is the PPT spectrum. With
-    ``normalize`` the block is rescaled to unit trace first; a block of
-    (near-)zero trace carries no state and is rejected.
+    ``normalize`` it is the unit-trace minimum lambda_min(B) / Tr B, the
+    one the block-PPT rung of ``certify`` uses; a block of (near-)zero
+    trace carries no state and is rejected before any eigensolve.
     """
     mat = np.asarray(block.matrix)
+    tr = 1.0
     if normalize:
         tr = float(np.trace(mat).real)
         if tr <= EPS_ZERO:
             raise ValueError("sector block has vanishing trace; no state to test")
-        mat = mat / tr
-    return float(eigenvalues_hermitian(mat)[0])
+    return float(eigenvalues_hermitian(mat)[0]) / tr
 
 
 def certify(
@@ -157,45 +153,41 @@ def certify(
        possible and the verdict is inconclusive (PPT passes).
 
     The minimum eigenvalue of the full partial transpose is reported in
-    every case.
+    every case. ``psd_tol`` must be finite and nonnegative.
     """
-    mat, scan = _valid_scan(rho, s, tol)
-    min_pt = min_pt_eigenvalue(mat, s)
+    _check_tol("psd_tol", psd_tol)
+    return _certify(_Analysis(rho, s, tol), psd_tol)
 
-    if scan.crossed_rows.size:
+
+def _certify(analysis: _Analysis, psd_tol: float = EPS_PSD) -> EntanglementVerdict:
+    """``certify`` on one record: its scan, its blocks and their minima."""
+    crossed = analysis.entries(*analysis.valid().crossed)
+    s, tol, min_pt = analysis.s, analysis.zero_tol, analysis.min_pt()
+    if crossed:
         # Python abs, as on CrossedEntry.value: np.abs can differ from it in
         # the last bit, which would move the witness on near-ties
-        values = mat[scan.crossed_rows, scan.crossed_cols].tolist()
-        magnitudes = list(map(abs, values))
-        k = magnitudes.index(max(magnitudes))
-        row, col = int(scan.crossed_rows[k]), int(scan.crossed_cols[k])
-        d_b = s.d_b
-        witness = CrossedEntry(
-            alice=(row // d_b, col // d_b), bob=(row % d_b, col % d_b),
-            value=values[k], row=row, col=col,
-        )
+        magnitudes = [abs(value) for _, _, value in crossed]
+        witness = _crossed_entry(*crossed[magnitudes.index(max(magnitudes))], s.d_b)
         return EntanglementVerdict(VerdictStatus.ENTANGLED_CERTIFIED, witness, min_pt)
 
     classes = classify_sectors(s)
-    nontrivial = [c for c in classes if c.kind is not SectorKind.TYPE1]
-    if not nontrivial:
-        return EntanglementVerdict(VerdictStatus.SEPARABLE_CERTIFIED, None, min_pt)
-
-    # each sector block of rho^{T2}, read straight from rho and divided by
-    # its trace as block_ppt_min_eig does; zero_tol alone decides the skip
-    gathers = {b.sector.key: (b.rows, b.cols) for b in s._pt_blocks if b.partner is None}
+    # the classes follow the sector blocks; each one's unit-trace minimum is
+    # lambda_min(B) / Tr B, from the solve min_pt made from dim 32 up;
+    # zero_tol alone decides the skip
+    shell_blocks = [k for k, b in enumerate(s._pt_blocks) if b.partner is None]
     worst: BlockWitness | None = None
-    for cls in nontrivial:
-        block = mat[gathers[cls.sector.key]]
-        tr = float(np.trace(block).real)
+    for cls, k in zip(classes, shell_blocks):
+        if cls.kind is SectorKind.TYPE1:
+            continue
+        tr = float(np.trace(analysis.block(k)).real)
         if tr <= tol:
             continue  # zero-weight sector carries no state
-        low = float(eigenvalues_hermitian(block / tr)[0])
+        low = analysis.block_min(k) / tr
         if low < -psd_tol and (worst is None or low < worst.min_eigenvalue):
             worst = BlockWitness(cls.sector, low)
     if worst is not None:
         return EntanglementVerdict(VerdictStatus.ENTANGLED_CERTIFIED, worst, min_pt)
-    if any(c.kind is SectorKind.LARGE for c in nontrivial):
+    if any(c.kind is SectorKind.LARGE for c in classes):
         return EntanglementVerdict(VerdictStatus.INCONCLUSIVE_PPT_PASSES, None, min_pt)
     return EntanglementVerdict(VerdictStatus.SEPARABLE_CERTIFIED, None, min_pt)
 

@@ -22,8 +22,8 @@ hold every shell pair by construction. Off-shell pairs without partner
 eigenvalues lie in no block; their rows of the partial transpose are zero.
 The blocks are cached per structure with the positions of rho their entries
 come from (the partial transpose only permutes entries), so no block needs
-rho^{T2} itself. They serve ``pt_block_decomposition``, ``min_pt_eigenvalue``
-and the block-PPT rung of ``entanglement.certify``.
+rho^{T2} itself. ``_Analysis`` holds one state's texture scan and block
+minima, each computed at most once; the CLI shares one per document.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ class TextureError(ValueError):
         super().__init__(
             f"{len(self.violations)} entries violate the additive-observable texture"
         )
+
+
+def _check_tol(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _group_labels(values: tuple[float, ...], eps: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -297,15 +302,6 @@ def build_sectors(s: AdditiveStructure) -> list[Sector]:
     ]
 
 
-def _shell_sectors(s: AdditiveStructure) -> list[Sector]:
-    """The sectors on the shell (M + Q = J), sorted by (M, Q)."""
-    return [
-        Sector(m_value, s.bob_groups[b][0], a_idx, s.bob_groups[b][1])
-        for (m_value, a_idx), b in zip(s.alice_groups, s._bob_match)
-        if b >= 0
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive semi-definite.
@@ -314,7 +310,8 @@ class DensityMatrix:
     whose hermiticity defect exceeds ``herm_tol``) and made read-only.
     Slightly negative eigenvalues down to ``-psd_tol`` are accepted, since
     matrices reconstructed from measured entries routinely fail strict
-    positivity at that level; anything worse is a hard error.
+    positivity at that level; anything worse is a hard error. Each of the
+    three tolerances must be finite and nonnegative (``ValueError``).
 
     From dim 32 up the checks run on the live indices only: those whose row
     or column holds a nonzero entry (by bit pattern, so -0.0 counts). Every
@@ -334,6 +331,8 @@ class DensityMatrix:
     herm_tol: float = field(default=EPS_HERM, repr=False)
 
     def __post_init__(self):
+        for name in ("trace_tol", "psd_tol", "herm_tol"):
+            _check_tol(name, getattr(self, name))
         mat = as_square_matrix(self.matrix)
         if mat.size == 0:
             raise StateValidationError("density matrix is empty (0 x 0)")
@@ -434,64 +433,86 @@ class TextureViolation:
     col_label_sum: float
 
 
-class _TextureScan(NamedTuple):
-    """Every above-tolerance entry of a matrix, classified in one pass.
+class _Analysis:
+    """One state under one structure and ``zero_tol``. The texture scan and each
+    block's read and solve run at most once, when first asked for.
 
-    ``violations`` lists the entries off the shell in ascending flat
-    (row, col) order. The remaining arrays describe the crossed entries
-    (upper triangle, M+Q != J) in the same order, with the anchor rule
-    applied per entry: ``anchor_forward`` when the column pair (N, Q) is
-    non-degenerate, ``anchor_conjugate`` when only the row pair (M, P) is,
-    in which case the conjugate entry rho[(n,q),(m,p)] is the anchor.
+    ``violations`` runs the texture scan: the entries above ``zero_tol`` off
+    the shell, in ascending flat (row, col) order. The same pass sets
+    ``crossed``, the (rows, cols) of the crossed entries (upper triangle,
+    M+Q != J); ``anchors()`` picks their anchor orientations and ``entries``
+    reads such positions. ``block(k)`` reads block k of ``s._pt_blocks``
+    from rho, ``block_min(k)`` solves it, and ``min_pt()`` is
+    ``min_pt_eigenvalue``.
     """
 
-    violations: list[TextureViolation]
-    crossed_rows: np.ndarray
-    crossed_cols: np.ndarray
-    anchor_forward: np.ndarray
-    anchor_conjugate: np.ndarray
+    def __init__(self, rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO):
+        self.mat = _matrix_of(rho)
+        _check_dims(self.mat, s)
+        _check_tol("zero_tol", zero_tol)
+        self.s, self.zero_tol = s, zero_tol
+        self._blocks, self._mins = {}, {}  # block k read from rho, and its smallest eigenvalue
 
-
-def _scan_texture(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarray, _TextureScan]:
-    """The matrix of ``rho`` and the classification of its entries above ``zero_tol``."""
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    if not (math.isfinite(zero_tol) and zero_tol >= 0.0):
-        raise ValueError(f"zero_tol must be finite and nonnegative, got {zero_tol!r}")
-    d_b = s.d_b
-    shell, nondeg = s._flat_flags
-    flat = np.flatnonzero(np.abs(mat) > zero_tol)
-    rows, cols = np.divmod(flat, s.dim)
-    valid = shell[rows] & shell[cols]
-
-    violations = []
-    if not valid.all():
-        bad = ~valid
+    @cached_property
+    def violations(self) -> list[TextureViolation]:
+        s, d_b = self.s, self.s.d_b
+        shell = s._flat_flags[0]
+        flat = np.flatnonzero(np.abs(self.mat) > self.zero_tol)
+        rows, cols = np.divmod(flat, s.dim)
+        valid = shell[rows] & shell[cols]
         violations = [
             TextureViolation(
                 row, col, *divmod(row, d_b), *divmod(col, d_b), value,
                 s.label_sum(*divmod(row, d_b)), s.label_sum(*divmod(col, d_b)),
             )
-            for row, col, value in zip(
-                rows[bad].tolist(), cols[bad].tolist(), mat.ravel()[flat[bad]].tolist()
-            )
-        ]
+            for row, col, value in self.entries(rows[~valid], cols[~valid])
+        ] if not valid.all() else []
+        # crossed: upper triangle, both pairs on the shell, the pair (m, q) off it
+        crossed = valid & ~shell[rows - rows % d_b + cols % d_b] & (rows < cols)
+        self.crossed = rows[crossed], cols[crossed]
+        return violations
 
-    # crossed: upper triangle, both pairs on the shell, the pair (m, q) off it
-    m_q = rows - rows % d_b + cols % d_b
-    crossed = valid & ~shell[m_q] & (rows < cols)
-    rows, cols = rows[crossed], cols[crossed]
-    forward = nondeg[cols]
-    conjugate = ~forward & nondeg[rows]
-    return mat, _TextureScan(violations, rows, cols, forward, conjugate)
+    def anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Of each crossed entry (``valid`` first), the entry when its column
+        pair (N, Q) is non-degenerate, else its conjugate when (M, P) is."""
+        (rows, cols), nondeg = self.valid().crossed, self.s._flat_flags[1]
+        forward = nondeg[cols]
+        keep = forward | nondeg[rows]
+        forward, rows, cols = forward[keep], rows[keep], cols[keep]
+        return np.where(forward, rows, cols), np.where(forward, cols, rows)
 
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int, complex]]:
+        """(row, col, value) at each position, as Python numbers."""
+        if not rows.size:
+            return []
+        return list(zip(rows.tolist(), cols.tolist(), self.mat[rows, cols].tolist()))
 
-def _valid_scan(rho, s: AdditiveStructure, zero_tol: float) -> tuple[np.ndarray, _TextureScan]:
-    """``_scan_texture`` for a texture-valid input; raises ``TextureError`` otherwise."""
-    mat, scan = _scan_texture(rho, s, zero_tol)
-    if scan.violations:
-        raise TextureError(scan.violations)
-    return mat, scan
+    def valid(self) -> _Analysis:
+        """This record, scanned; raises ``TextureError`` if the scan found violations."""
+        if self.violations:
+            raise TextureError(self.violations)
+        return self
+
+    def block(self, k: int) -> np.ndarray:
+        if k not in self._blocks:
+            b = self.s._pt_blocks[k]
+            self._blocks[k] = self.mat[b.rows, b.cols]
+        return self._blocks[k]
+
+    def block_min(self, k: int) -> float:
+        if k not in self._mins:
+            self._mins[k] = float(eigenvalues_hermitian(self.block(k))[0])
+        return self._mins[k]
+
+    def min_pt(self) -> float:
+        s, mat = self.s, self.mat
+        if s.dim >= _SPLIT_MIN_DIM:
+            blocks = list(map(self.block, range(len(s._pt_blocks))))
+            counts = list(map(np.count_nonzero, blocks))
+            if sum(counts) == np.count_nonzero(mat):
+                low = min(self.block_min(k) if n else 0.0 for k, n in enumerate(counts))
+                return low if sum(map(len, blocks)) == s.dim else min(low, 0.0)
+        return float(eigenvalues_hermitian(partial_transpose(mat, s.d_a, s.d_b))[0])
 
 
 def validate_additivity(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -> list[TextureViolation]:
@@ -501,7 +522,7 @@ def validate_additivity(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -
     definite total value (within the tolerances). ``zero_tol`` must be
     finite and nonnegative.
     """
-    return _scan_texture(rho, s, zero_tol)[1].violations
+    return _Analysis(rho, s, zero_tol).violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,7 +587,7 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
     blocks reconstruct rho^{T2} exactly; sector blocks carry the whole
     trace, cross blocks are traceless.
     """
-    mat, _ = _valid_scan(rho, s, zero_tol)
+    mat = _Analysis(rho, s, zero_tol).valid().mat
     type_a: list[SectorBlock] = []
     type_b: list[CrossBlock] = []
     for sec, partner, flats_mq, flats_np, rows, cols in s._pt_blocks:
@@ -589,15 +610,9 @@ def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
     block with no nonzero entry adds zeros without an eigensolve. Otherwise,
     as for an input with entries off the texture (including ones below
     ``zero_tol``), and below dim 32, rho^{T2} is built and solved whole.
-    Raises ``ValueError`` when rho^{T2} is not Hermitian.
+    Each block is solved once, and the block-PPT rung of
+    ``entanglement.certify`` reads its sector blocks' minima from the same
+    solves. The texture is not scanned. Raises ``ValueError`` when rho^{T2}
+    is not Hermitian.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    if s.dim >= _SPLIT_MIN_DIM:
-        blocks = [mat[b.rows, b.cols] for b in s._pt_blocks]
-        counts = list(map(np.count_nonzero, blocks))
-        if sum(counts) == np.count_nonzero(mat):
-            low = min(float(eigenvalues_hermitian(b)[0]) if n else 0.0 for b, n in zip(blocks, counts))
-            return low if sum(map(len, blocks)) == s.dim else min(low, 0.0)
-    pt = partial_transpose(mat, s.d_a, s.d_b)
-    return float(eigenvalues_hermitian(pt)[0])
+    return _Analysis(rho, s).min_pt()

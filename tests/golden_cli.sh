@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
-# Run the shipped entry point, `python -m addobs_certify certify`, as a
-# subprocess on every case of tests/test_golden.py, in text and JSON. Each
-# report must match tests/data/golden/ byte for byte (cmp) and each exit code
-# the case's expected code.
+# Run the shipped entry point, `python -m addobs_certify certify` and
+# `... validate`, as a subprocess on every case of tests/test_golden.py, in
+# text and JSON. Each report must match tests/data/golden/ byte for byte
+# (cmp) and each exit code the case's expected code.
 #
 # Usage, from the repository root: bash tests/golden_cli.sh
 set -u
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# one line per case: document, report stem, exit code, extra arguments
+# one line per case: command, document, report stem, exit code, extra arguments
 cases=$(PYTHONPATH="tests:$PYTHONPATH" python -c '
-from test_golden import CASES
-for doc, extra, stem, code in CASES:
-    print(doc, stem, code, *extra)
+from test_golden import CASES, VALIDATE_CASES
+for command, cases in (("certify", CASES), ("validate", VALIDATE_CASES)):
+    for doc, extra, stem, code in cases:
+        print(command, doc, stem, code, *extra)
 ') || exit 1
 [ -n "$cases" ] || { echo "no golden cases found"; exit 1; }
 
@@ -20,21 +21,22 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 failed=0
 checked=0
-while read -r doc stem code extra; do
+while read -r command doc stem code extra; do
   for fmt in text json; do
     ext=$([ "$fmt" = text ] && echo txt || echo json)
+    golden="tests/data/golden/$stem.$command.$ext"
     got=0
     # shellcheck disable=SC2086  # extra holds zero or more separate arguments
-    python -m addobs_certify certify "tests/data/$doc.json" --format "$fmt" $extra >"$out" || got=$?
+    python -m addobs_certify "$command" "tests/data/$doc.json" --format "$fmt" $extra >"$out" || got=$?
     checked=$((checked + 1))
     if [ "$got" -ne "$code" ]; then
-      echo "FAIL $stem ($fmt): exit $got, expected $code"
+      echo "FAIL $command $stem ($fmt): exit $got, expected $code"
       failed=1
-    elif ! cmp "$out" "tests/data/golden/$stem.certify.$ext"; then
-      echo "FAIL $stem ($fmt): report differs from tests/data/golden/$stem.certify.$ext"
+    elif ! cmp "$out" "$golden"; then
+      echo "FAIL $command $stem ($fmt): report differs from $golden"
       failed=1
     else
-      echo "ok   $stem ($fmt), exit $got"
+      echo "ok   $command $stem ($fmt), exit $got"
     fi
   done
 done <<<"$cases"

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from addobs_certify import cli
+from addobs_certify import cli, entanglement, structure
 from addobs_certify.higgs_zz import params_from_measured, rho_from_params
+from addobs_certify.linalg import eigenvalues_hermitian
+from addobs_certify.structure import pt_block_decomposition
 
 from helpers import bell_system
 
@@ -330,3 +334,47 @@ def test_certify_tests_a_sector_between_zero_tol_and_eps_zero(tmp_path, capsys):
     assert cli.main(["certify", path, "--format", "json", "--zero-tol", "1e-15"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["entanglementVerdict"]["status"] == "SEPARABLE_CERTIFIED"
+
+
+def _benchmark_corpus():
+    """``perfbench/corpus.py``, the benchmark's seeded state generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])
+def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkeypatch, capsys):
+    # one `certify` run on a 4|4 chain document (dim 256): one pass over the
+    # dim x dim entries for the texture, the crossed entries and the anchors,
+    # and one eigensolve per PT block holding a nonzero entry, shared by the
+    # minimum PT eigenvalue and the block-PPT rung
+    corpus = _benchmark_corpus()
+    path = tmp_path / f"{kind}.json"
+    path.write_text(corpus.document_text(getattr(corpus, kind)(730, 0, 4)))
+    s, rho = cli.load_document(str(path))
+    decomposition = pt_block_decomposition(rho, s)
+    blocks = [b.matrix for b in decomposition.type_a + decomposition.type_b]
+    expected = sorted(len(b) for b in blocks if np.count_nonzero(b))
+
+    passes, solves = [], []
+    flatnonzero = np.flatnonzero
+
+    def counting_flatnonzero(a):
+        if np.size(a) == s.dim * s.dim:
+            passes.append(np.shape(a))
+        return flatnonzero(a)
+
+    def counting_eigenvalues(h, *args, **kwargs):
+        solves.append(len(h))
+        return eigenvalues_hermitian(h, *args, **kwargs)
+
+    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    for module in (structure, entanglement):
+        monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
+    assert cli.main(["certify", str(path)]) == 0
+    assert "texture: VALID" in capsys.readouterr().out
+    assert len(passes) == 1
+    assert sorted(solves) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -246,6 +247,31 @@ class TestCertify:
             mat[k, k] = 1.0 / len(flats)
         verdict = certify(DensityMatrix(mat), s)
         assert verdict.status is VerdictStatus.INCONCLUSIVE_PPT_PASSES
+
+
+class TestCertifyTolerances:
+    """``psd_tol`` must be finite and nonnegative: a NaN or infinite slack
+    calls every block PPT, a negative one calls a PPT block entangled."""
+
+    S = AdditiveStructure((0.0, 0.0, 1.0, 1.0), (0.0, 0.0, -1.0, -1.0), 0.0)
+
+    def _state(self, entangled: bool) -> DensityMatrix:
+        mat = np.zeros((16, 16), dtype=complex)
+        if entangled:  # (|00> + |11>)/sqrt(2) inside the 2x2 sector (0, 0)
+            mat[0, 0] = mat[5, 5] = mat[0, 5] = mat[5, 0] = 0.5
+        else:
+            mat[0, 0] = 1.0
+        return DensityMatrix(mat)
+
+    def test_default_verdicts(self):
+        assert certify(self._state(True), self.S).status is VerdictStatus.ENTANGLED_CERTIFIED
+        assert certify(self._state(False), self.S).status is VerdictStatus.SEPARABLE_CERTIFIED
+
+    @pytest.mark.parametrize("psd_tol", [math.nan, math.inf, -0.1, -1e-300])
+    @pytest.mark.parametrize("entangled", [False, True])
+    def test_bad_psd_tol_rejected(self, psd_tol, entangled):
+        with pytest.raises(ValueError, match="^psd_tol must be finite and nonnegative"):
+            certify(self._state(entangled), self.S, psd_tol=psd_tol)
 
 
 def _block_rung_reference(mat, s, tol=EPS_ZERO, psd_tol=EPS_PSD) -> BlockWitness | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from collections import Counter
 
@@ -223,6 +224,16 @@ class TestDensityMatrix:
     def test_empty_matrix_rejected(self):
         with pytest.raises(StateValidationError, match="empty"):
             DensityMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("name", ["trace_tol", "psd_tol", "herm_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_bad_tolerance_rejected(self, name, value):
+        # a NaN tolerance compares false both ways, so it would accept a
+        # negative eigenvalue, a trace of 4 or any hermiticity defect
+        valid, not_psd = np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0])
+        for mat in (valid, not_psd, np.eye(4), np.triu(np.ones((4, 4))) / 4):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+                DensityMatrix(mat.astype(complex), **{name: value})
 
 
 def _state_on_support(seed: int, support: list[bool], negative: bool) -> np.ndarray:
