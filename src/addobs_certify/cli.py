@@ -281,15 +281,20 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     return n_theta, n_phi
 
 
-def _parse_zero_tol(text: str) -> float:
+def _parse_finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--zero-tol expects a number, got {text!r}") from exc
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"--zero-tol must be finite and nonnegative, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _parse_zero_tol(text: str) -> float:
+    value = _parse_finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
     return value
 
 
@@ -510,10 +515,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_higgs = sub.add_parser(
         "higgs", parents=[common], help="H->ZZ CHSH values and table reproduction"
     )
-    p_higgs.add_argument("--a12", type=float, help="measured a12 central value")
-    p_higgs.add_argument("--a13", type=float, help="measured a13 central value")
-    p_higgs.add_argument("--sigma12", type=float, help="uncertainty on a12")
-    p_higgs.add_argument("--sigma13", type=float, help="uncertainty on a13")
+    p_higgs.add_argument("--a12", type=_parse_finite, help="measured a12 central value")
+    p_higgs.add_argument("--a13", type=_parse_finite, help="measured a13 central value")
+    p_higgs.add_argument("--sigma12", type=_parse_finite, help="uncertainty on a12")
+    p_higgs.add_argument("--sigma13", type=_parse_finite, help="uncertainty on a13")
     p_higgs.add_argument(
         "--tables", action="store_true",
         help="reproduce the published pseudoexperiment tables",

@@ -59,10 +59,12 @@ class HiggsZZParams:
     a23: complex
 
     def __post_init__(self):
+        core = self.core()
+        if not np.isfinite(core).all():
+            raise ValueError("core entries must be finite")
         total = self.a11 + self.a22 + self.a33
         if abs(total - 1.0) > EPS_TR:
             raise ValueError(f"diagonal sums to {total!r}, expected 1")
-        core = self.core()
         min_eig = float(np.linalg.eigvalsh(core)[0])
         if min_eig < -1e-9:
             raise ValueError(
@@ -180,8 +182,10 @@ class Measurement:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not math.isfinite(self.central):
+            raise ValueError(f"central value must be finite, got {self.central!r}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
 
 
 def significance(m: Measurement) -> float:

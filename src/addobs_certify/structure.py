@@ -113,6 +113,7 @@ class AdditiveStructure:
     def __post_init__(self):
         j_alice, j_bob = tuple(map(float, self.j_alice)), tuple(map(float, self.j_bob))
         j_total, eps = float(self.j_total), self.eps_j
+        _check_tol("eps_j", eps)
         if not all(map(math.isfinite, j_alice + j_bob + (j_total,))):
             raise ValueError("eigenvalue labels must be finite")
         if not j_alice or not j_bob:
@@ -316,13 +317,14 @@ class DensityMatrix:
     From dim 32 up the checks run on the live indices only: those whose row
     or column holds a nonzero entry (by bit pattern, so -0.0 counts). Every
     entry off them is +0 in the input and stays +0 when symmetrized, so the
-    finiteness test, the hermiticity defect and the symmetrization are taken
-    on the live submatrix and scattered into a zero matrix, with the same
-    bits and the same decisions as on the whole. Positivity is checked on
-    the rows of the symmetrized submatrix that are nonzero: zero rows only
-    add zero eigenvalues. A chain state of dim 1024 with 252 live rows works
-    on 252 x 252 arrays and solves a 252 x 252 problem. Smaller matrices are
-    checked and solved whole.
+    finiteness test, the hermiticity defect, the symmetrization and the
+    positivity solve are taken on the live submatrix, which is scattered
+    into a zero matrix, with the same bits and the same decisions as on the
+    whole: the rows off it only add zero eigenvalues, and so does a live row
+    that is zero by value. The live indices are kept, so the texture scan
+    and the minimum PT eigenvalue read the same support. A chain state of
+    dim 1024 with 252 live rows works on 252 x 252 arrays and solves a
+    252 x 252 problem. Smaller matrices are checked and solved whole.
     """
 
     matrix: np.ndarray
@@ -358,25 +360,25 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > self.trace_tol:
             raise StateValidationError(f"trace {tr!r} differs from 1 beyond tolerance")
-        if live is None:
-            min_eig = min(float(np.linalg.eigvalsh(sub)[0]), 0.0)
-        else:
-            min_eig = _min_eigenvalue_on_support(sub)
+        min_eig = float(np.linalg.eigvalsh(sub).min(initial=0.0))  # 0 with no support
         if min_eig < -self.psd_tol:
             raise StateValidationError(
                 f"not positive semi-definite: min eigenvalue {min_eig:.3e}"
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_live", live)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-#: Below this dimension a matrix is checked and solved whole, both by
-#: ``DensityMatrix`` and by ``min_pt_eigenvalue``. At dims 4-20 finding and
-#: copying the support costs more than the smaller eigensolve saves: with the
+#: From this dimension up a state's live indices are found once, by
+#: ``DensityMatrix`` (or by ``_Analysis`` for a raw array), and the checks, the
+#: texture scan and the min-PT guard read them; below it a matrix is checked,
+#: scanned and solved whole. At dims 4-20 finding and copying the support
+#: costs more than the smaller eigensolve saves: with the
 #: support path at every dim, the small-batch benchmark read +4 % in
 #: ``latency_p50_s`` (10 interleaved pairs in one checkout, against +1 % for
 #: two copies of the same code).
@@ -391,20 +393,6 @@ def _live_indices(mat: np.ndarray) -> np.ndarray:
     """
     bits = np.ascontiguousarray(mat).view(np.uint64)
     return np.flatnonzero(bits.any(axis=1) | bits.any(axis=0).reshape(-1, 2).any(axis=1))
-
-
-def _min_eigenvalue_on_support(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the exactly Hermitian ``mat``, clamped to at most 0.
-
-    Permuting the zero rows and columns to the end leaves a block diagonal
-    of the support submatrix and a zero block, so the spectrum is the
-    submatrix's plus one 0 per dropped row. Clamping to 0 changes no
-    comparison against a negative tolerance.
-    """
-    keep = mat.any(axis=1)
-    if not keep.any():
-        return 0.0
-    return min(float(np.linalg.eigvalsh(mat[keep][:, keep])[0]), 0.0)
 
 
 def _matrix_of(rho) -> np.ndarray:
@@ -437,12 +425,14 @@ class _Analysis:
     """One state under one structure and ``zero_tol``. The texture scan and each
     block's read and solve run at most once, when first asked for.
 
-    ``violations`` runs the texture scan: the entries above ``zero_tol`` off
-    the shell, in ascending flat (row, col) order. The same pass sets
-    ``crossed``, the (rows, cols) of the crossed entries (upper triangle,
-    M+Q != J); ``anchors()`` picks their anchor orientations and ``entries``
-    reads such positions. ``block(k)`` reads block k of ``s._pt_blocks``
-    from rho, ``block_min(k)`` solves it, and ``min_pt()`` is
+    ``live`` holds the live indices ``DensityMatrix`` found (found here for
+    a raw array; None below ``_SPLIT_MIN_DIM``: the whole matrix is read).
+    ``violations`` runs the texture scan on the live submatrix: the entries
+    above ``zero_tol`` off the shell, in ascending flat (row, col) order. The
+    same pass sets ``crossed``, the (rows, cols) of the crossed entries
+    (upper triangle, M+Q != J); ``anchors()`` picks their anchor orientations
+    and ``entries`` reads such positions. ``block(k)`` reads block k of
+    ``s._pt_blocks`` from rho, ``block_min(k)`` solves it, and ``min_pt()`` is
     ``min_pt_eigenvalue``.
     """
 
@@ -451,14 +441,18 @@ class _Analysis:
         _check_dims(self.mat, s)
         _check_tol("zero_tol", zero_tol)
         self.s, self.zero_tol = s, zero_tol
+        self.live = rho._live if isinstance(rho, DensityMatrix) else (
+            _live_indices(self.mat) if s.dim >= _SPLIT_MIN_DIM else None)
         self._blocks, self._mins = {}, {}  # block k read from rho, and its smallest eigenvalue
 
     @cached_property
     def violations(self) -> list[TextureViolation]:
-        s, d_b = self.s, self.s.d_b
+        s, d_b, live = self.s, self.s.d_b, self.live
         shell = s._flat_flags[0]
-        flat = np.flatnonzero(np.abs(self.mat) > self.zero_tol)
-        rows, cols = np.divmod(flat, s.dim)
+        sub = self.mat if live is None else self.mat[np.ix_(live, live)]
+        rows, cols = np.divmod(np.flatnonzero(np.abs(sub) > self.zero_tol), len(sub))
+        if live is not None:  # ascending, so the order of the positions stays
+            rows, cols = live[rows], live[cols]
         valid = shell[rows] & shell[cols]
         violations = [
             TextureViolation(
@@ -505,13 +499,14 @@ class _Analysis:
         return self._mins[k]
 
     def min_pt(self) -> float:
-        s, mat = self.s, self.mat
-        if s.dim >= _SPLIT_MIN_DIM:
-            blocks = list(map(self.block, range(len(s._pt_blocks))))
-            counts = list(map(np.count_nonzero, blocks))
-            if sum(counts) == np.count_nonzero(mat):
-                low = min(self.block_min(k) if n else 0.0 for k, n in enumerate(counts))
-                return low if sum(map(len, blocks)) == s.dim else min(low, 0.0)
+        s, mat, live = self.s, self.mat, self.live
+        if live is not None:
+            # an entry lies in a block exactly when both its pairs are on the shell
+            off = live[~s._flat_flags[0][live]]
+            if not (mat[np.ix_(off, live)].any() or mat[np.ix_(live, off)].any()):
+                blocks = s._pt_blocks
+                low = min(self.block_min(k) if self.block(k).any() else 0.0 for k in range(len(blocks)))
+                return low if sum(len(b.rows) for b in blocks) == s.dim else min(low, 0.0)
         return float(eigenvalues_hermitian(partial_transpose(mat, s.d_a, s.d_b))[0])
 
 
@@ -602,17 +597,16 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
 def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
     """Smallest eigenvalue of the full partial transpose.
 
-    From dim 32 up the minimum is taken over the texture's disjoint blocks
-    (see ``pt_block_decomposition``), read straight from rho, whenever every
-    nonzero entry of rho lies inside one of them (the partial transpose only
-    permutes entries, so then every nonzero entry of rho^{T2} does): the
-    spectrum is the blocks' spectra plus one 0 per row in no block, and a
-    block with no nonzero entry adds zeros without an eigensolve. Otherwise,
-    as for an input with entries off the texture (including ones below
-    ``zero_tol``), and below dim 32, rho^{T2} is built and solved whole.
-    Each block is solved once, and the block-PPT rung of
-    ``entanglement.certify`` reads its sector blocks' minima from the same
-    solves. The texture is not scanned. Raises ``ValueError`` when rho^{T2}
+    From dim 32 up, when no live index off the shell (see ``DensityMatrix``)
+    has a nonzero value in its row or column of rho, every nonzero entry of
+    rho lies in one of the texture's disjoint blocks (see
+    ``pt_block_decomposition``), read straight from rho: the spectrum is the
+    blocks' spectra plus one 0 per row in no block, and an all-zero block
+    adds zeros without an eigensolve. Each block is solved once; the
+    block-PPT rung of ``entanglement.certify`` reads its sector blocks'
+    minima from the same solves. Otherwise (entries off the texture, even
+    below ``zero_tol``) and below dim 32, rho^{T2} is built and solved
+    whole. The texture is not scanned. Raises ``ValueError`` when rho^{T2}
     is not Hermitian.
     """
     return _Analysis(rho, s).min_pt()

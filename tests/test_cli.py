@@ -197,6 +197,16 @@ class TestHiggs:
     def test_missing_values_usage_error(self, capsys):
         assert cli.main(["higgs"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--a12", "nan"), ("--a13", "inf"), ("--sigma12", "inf"), ("--sigma13", "nan"), ("--a12", "-inf")],
+    )
+    def test_non_finite_values_usage_error(self, flag, value, capsys):
+        values = {"--a12": "0.33", "--a13": "0.20", flag: value}
+        argv = ["higgs", *(f"{k}={v}" for k, v in values.items())]
+        assert cli.main(argv) == 1
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+
 
 class TestParsing:
     def test_unknown_command(self):
@@ -347,10 +357,12 @@ def _benchmark_corpus():
 
 @pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])
 def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkeypatch, capsys):
-    # one `certify` run on a 4|4 chain document (dim 256): one pass over the
-    # dim x dim entries for the texture, the crossed entries and the anchors,
-    # and one eigensolve per PT block holding a nonzero entry, shared by the
-    # minimum PT eigenvalue and the block-PPT rung
+    # one `certify` run on a 4|4 chain document (dim 256): the load finds the
+    # live indices once and every later step reads them, so no flatnonzero
+    # or count_nonzero call sees all dim x dim entries; one texture scan, on
+    # the live x live mask, for the texture, the crossed entries and the
+    # anchors; and one eigensolve per PT block holding a nonzero entry,
+    # shared by the minimum PT eigenvalue and the block-PPT rung
     corpus = _benchmark_corpus()
     path = tmp_path / f"{kind}.json"
     path.write_text(corpus.document_text(getattr(corpus, kind)(730, 0, 4)))
@@ -359,22 +371,32 @@ def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkey
     blocks = [b.matrix for b in decomposition.type_a + decomposition.type_b]
     expected = sorted(len(b) for b in blocks if np.count_nonzero(b))
 
-    passes, solves = [], []
-    flatnonzero = np.flatnonzero
+    n_live = len(rho._live)
+    assert n_live < s.dim
+    passes, scans, solves = [], [], []
 
-    def counting_flatnonzero(a):
-        if np.size(a) == s.dim * s.dim:
-            passes.append(np.shape(a))
-        return flatnonzero(a)
+    def counting(name):
+        original = getattr(np, name)
+
+        def count(a, *args, **kwargs):
+            if np.size(a) == s.dim * s.dim:
+                passes.append(name)
+            if name == "flatnonzero" and np.ndim(a) == 2:
+                scans.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, count)
 
     def counting_eigenvalues(h, *args, **kwargs):
         solves.append(len(h))
         return eigenvalues_hermitian(h, *args, **kwargs)
 
-    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    counting("flatnonzero")
+    counting("count_nonzero")
     for module in (structure, entanglement):
         monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
     assert cli.main(["certify", str(path)]) == 0
     assert "texture: VALID" in capsys.readouterr().out
-    assert len(passes) == 1
+    assert passes == []
+    assert scans == [(n_live, n_live)]
     assert sorted(solves) == expected

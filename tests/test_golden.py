@@ -25,6 +25,7 @@ CASES = [
     ("chain3_full", ["--grid", "64x128"], "chain3_full-grid", 0),
     ("chain3_sector", [], "chain3_sector", 0),
     ("texture_invalid", [], "texture_invalid", 2),
+    ("chain3_invalid", [], "chain3_invalid", 2),
 ]
 
 #: The same for ``validate``; at ``--zero-tol 0.5`` the off-shell entry
@@ -36,6 +37,7 @@ VALIDATE_CASES = [
     ("chain3_sector", [], "chain3_sector", 0),
     ("texture_invalid", [], "texture_invalid", 2),
     ("texture_invalid", ["--zero-tol", "0.5"], "texture_invalid-tol", 0),
+    ("chain3_invalid", [], "chain3_invalid", 2),
 ]
 
 

@@ -54,6 +54,19 @@ class TestParams:
         with pytest.raises(ValueError, match="non-PSD"):
             HiggsZZParams(0.0, 1.0, 0.0, complex(0.9), 0j, 0j)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1 / 3, 1 / 3, 1 / 3, complex(math.nan), 0j, 0j),
+            (1 / 3, 1 / 3, 1 / 3, 0j, complex(0.0, math.inf), 0j),
+            (math.inf, -math.inf, 1.0, 0j, 0j, 0j),  # a NaN diagonal sum passes the trace test
+            (1 / 3, math.nan, 1 / 3, 0j, 0j, 0j),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, entries):
+        with pytest.raises(ValueError, match="finite"):
+            HiggsZZParams(*entries)
+
     def test_entries_placed_on_shell(self):
         params = params_from_measured(-0.33, 0.20)
         rho, _ = rho_from_params(params)
@@ -183,6 +196,17 @@ class TestSignificance:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma"):
             Measurement(0.1, 0.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf])
+    def test_sigma_must_be_finite(self, sigma):
+        # an infinite sigma would give significance 0.0
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            Measurement(0.1, sigma)
+
+    @pytest.mark.parametrize("central", [math.inf, -math.inf, math.nan])
+    def test_central_must_be_finite(self, central):
+        with pytest.raises(ValueError, match="central value must be finite"):
+            Measurement(central, 0.1)
 
 
 class TestReproduceTables:

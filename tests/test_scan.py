@@ -29,6 +29,7 @@ from addobs_certify.structure import (
     DensityMatrix,
     TextureError,
     TextureViolation,
+    min_pt_eigenvalue,
     pt_block_decomposition,
     validate_additivity,
 )
@@ -110,10 +111,9 @@ JITTER = 2e-10
 
 
 @st.composite
-def structures(draw):
+def structures(draw, d_a=st.integers(1, 4), d_b=st.integers(1, 5)):
     """Label sets on a half-integer grid; most Bob labels pair with an Alice one on the shell."""
-    d_a = draw(st.integers(1, 4))
-    d_b = draw(st.integers(1, 5))
+    d_a, d_b = draw(d_a), draw(d_b)
     grid = st.integers(-4, 4)
     ja = [0.5 * v for v in draw(st.lists(grid, min_size=d_a, max_size=d_a))]
     total = 0.5 * draw(grid)
@@ -178,6 +178,44 @@ def scan_cases(draw):
     return s, mat, tol
 
 
+#: Signed zeros: live by bit pattern, zero by value.
+SIGNED_ZEROS = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+@st.composite
+def live_scan_cases(draw):
+    """From dim 32 up, where the scan reads the live submatrix: a shell state
+    with some shell rows emptied, off-shell entries (some in otherwise-zero
+    rows and columns), -0.0 parts anywhere, a tolerance; as a raw array or,
+    kept positive, as a ``DensityMatrix``."""
+    s = draw(structures(st.integers(4, 8), st.integers(8, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    as_state = draw(st.booleans())
+    mat = shell_state(rng, s, draw(st.sampled_from([None, 1, 3])))
+    shell = set(s.shell_flats)
+    off = [k for k in range(s.dim) if k not in shell]
+    emptied = [k for k in s.shell_flats if rng.random() < 0.3]
+    mat[emptied, :] = mat[:, emptied] = 0.0
+    for _ in range(draw(st.integers(0, 3)) if off else 0):
+        row = int(rng.choice(off))
+        if as_state:  # a positive off-shell diagonal entry keeps rho positive
+            mat[row, row] = rng.uniform(0.01, 0.2)
+        else:
+            col = int(rng.integers(s.dim))
+            mat[row, col] = complex(rng.normal(), rng.normal() if row != col else 0.0)
+            mat[col, row] = mat[row, col].conjugate()
+    for _ in range(draw(st.integers(0, 4))):
+        row, col = (int(v) for v in rng.integers(s.dim, size=2))
+        if mat[row, col] == 0:
+            mat[row, col] = mat[col, row] = draw(st.sampled_from(SIGNED_ZEROS))
+    if np.trace(mat).real > 0:
+        mat /= np.trace(mat).real
+    else:
+        assume(not as_state)
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    return s, DensityMatrix(mat) if as_state else mat, tol
+
+
 @st.composite
 def anchored_states(draw):
     """A density matrix on the shell of a structure with anchor positions."""
@@ -198,17 +236,32 @@ def _raises_texture(fn, *args):
 @settings(max_examples=150, deadline=None)
 @given(scan_cases())
 def test_scan_matches_per_entry_reference(case):
-    s, mat, tol = case
+    _check_scan_against_references(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(live_scan_cases())
+def test_live_scan_matches_per_entry_reference(case):
+    # from dim 32 up the scan reads the live submatrix and maps its positions back
+    _check_scan_against_references(case)
+
+
+def _check_scan_against_references(case):
+    # the references read every entry of the stored matrix
+    s, rho, tol = case
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
     violations = reference_violations(mat, s, tol)
-    assert validate_additivity(mat, s, tol) == violations
+    assert validate_additivity(rho, s, tol) == violations
+    pt = np.swapaxes(mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b), 1, 3).reshape(s.dim, s.dim)
+    assert abs(min_pt_eigenvalue(rho, s) - np.linalg.eigvalsh(pt)[0]) <= 1e-13
     if violations:
-        assert _raises_texture(find_crossed_entries, mat, s, tol) == violations
-        assert _raises_texture(find_anchor_entries, mat, s, tol) == violations
-        assert _raises_texture(pt_block_decomposition, mat, s, tol) == violations
-        assert _raises_texture(certify_nonlocality, mat, s, tol) == violations
+        assert _raises_texture(find_crossed_entries, rho, s, tol) == violations
+        assert _raises_texture(find_anchor_entries, rho, s, tol) == violations
+        assert _raises_texture(pt_block_decomposition, rho, s, tol) == violations
+        assert _raises_texture(certify_nonlocality, rho, s, tol) == violations
         return
-    crossed = find_crossed_entries(mat, s, tol)
-    anchors = find_anchor_entries(mat, s, tol)
+    crossed = find_crossed_entries(rho, s, tol)
+    anchors = find_anchor_entries(rho, s, tol)
     assert crossed == reference_crossed(mat, s, tol)
     assert anchors == reference_anchors(mat, s, tol)
     # every anchor is a crossed entry, in one of its two orientations

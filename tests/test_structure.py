@@ -45,6 +45,13 @@ class TestAdditiveStructure:
         with pytest.raises(ValueError, match="empty"):
             AdditiveStructure((1.0, 2.0), (1.0, 2.0), 100.0)
 
+    @pytest.mark.parametrize("eps_j", [math.inf, math.nan, -1.0])
+    def test_bad_eps_j_rejected(self, eps_j):
+        # an infinite eps_j groups every label together and puts every pair
+        # on the shell, which turns the texture check off
+        with pytest.raises(ValueError, match="^eps_j must be finite and nonnegative"):
+            AdditiveStructure((0.5, -0.5), (0.5, -0.5), 0.0, eps_j=eps_j)
+
     def test_shell_pairs_higgs(self):
         assert HIGGS_STRUCTURE.shell_pairs == ((0, 2), (1, 1), (2, 0))
         assert HIGGS_STRUCTURE.shell_flats == (2, 4, 6)
@@ -641,6 +648,24 @@ class TestPtGathers:
         dense = np.linalg.eigvalsh(partial_transpose(mat, s.d_a, s.d_b))[0]
         assert min_pt_eigenvalue(mat, s) == dense
         assert calls == [(s.d_a, s.d_b)]
+
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    @pytest.mark.parametrize("as_state", [False, True])
+    def test_off_shell_signed_zeros_keep_the_block_path(self, n_spins, as_state, monkeypatch):
+        # -0.0 parts make off-shell rows live by bit pattern but not by value:
+        # the blocks still hold every nonzero entry, and the minimum keeps its bits
+        s = chain_structure(n_spins)
+        mat = sector_diagonal_state(make_rng(50 + n_spins), s)
+        form = DensityMatrix if as_state else np.array
+        expected = min_pt_eigenvalue(form(mat), s)
+        off, row = _off_shell_flats(s), s.shell_flats[0]
+        mat[off[0], off[0]] = complex(-0.0, 0.0)
+        mat[row, off[1]] = mat[off[1], row] = complex(0.0, -0.0)
+        mat[off[2], off[3]] = mat[off[3], off[2]] = complex(-0.0, -0.0)
+        assert set(off[:4]) <= set(structure._live_indices(mat).tolist())
+        rho = form(mat)
+        monkeypatch.setattr(structure, "partial_transpose", _no_partial_transpose)
+        assert min_pt_eigenvalue(rho, s) == expected
 
     @pytest.mark.parametrize("n_spins", [3, 4])
     def test_decomposition_reassembles_the_partial_transpose(self, n_spins, monkeypatch):
