@@ -12,7 +12,8 @@ Input states are single JSON documents::
 Matrix entries may be ``{"re": x, "im": y}`` objects or plain numbers
 (taken as real). Exit codes: 0 success, 1 usage or parse error, 2 domain
 validation failure. Reports are deterministic: identical inputs produce
-byte-identical output.
+byte-identical output on one machine with one BLAS thread count (the last
+digits of eigenvalues can follow the number of BLAS threads).
 """
 
 from __future__ import annotations
@@ -124,22 +125,66 @@ def _finite_array(values, dtype, message: str) -> np.ndarray:
     return arr
 
 
-def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
-    """Parse and validate a state document.
+#: What ``json.dumps`` writes for a zero matrix entry, and the only text
+#: ``load_document`` substitutes.
+_ZERO_ENTRY = '{"re": 0.0, "im": 0.0}'
 
-    One ``json.load`` pass turns well-formed entries into numbers; only rows
-    holding anything else go through ``_parse_entry``. Raises
-    ``DocumentError`` for parse or shape problems and
-    ``StateValidationError`` when the matrix fails the density-matrix
-    invariants.
+
+def _parse_json(text: str, path: str):
+    """``text`` parsed with ``_entry_hook``; ``DocumentError`` if it is not JSON."""
+    try:
+        return json.loads(text, object_hook=_entry_hook)
+    except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, too deep
+        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _read_json(path: str):
+    """The parsed document, and whether its zero entries were parsed as ``None``.
+
+    A dense document is mostly zero entries, and a dict per entry plus a hook
+    call is most of the parse. So when the text holds no ``null``, every
+    ``_ZERO_ENTRY`` is first replaced by ``null`` and a newline, which
+    ``json`` reads in C. This is exact:
+
+    * in valid JSON the literal is a whole object value: it cannot start
+      inside a string, where its second character would close the string;
+    * where the literal does start inside a string, the raw newline makes
+      the substituted text invalid;
+    * outside the matrix, ``None`` fails every check that the hook's ``0j``
+      fails, with the same message;
+    * any parse error falls back to parsing the text as it is, so error
+      messages do not change, and a text holding ``null`` is parsed as it
+      is, so a genuine ``null`` is still rejected.
+
+    The one difference: ``null`` nests one level less than the literal, so
+    a text nested to within a few levels of Python's recursion limit can
+    parse after the replacement although it would not before.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle, object_hook=_entry_hook)
+            text = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, invalid UTF-8, an over-long integer
+    except ValueError as exc:  # invalid UTF-8
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
+    if "null" not in text:
+        try:
+            return _parse_json(text.replace(_ZERO_ENTRY, "null\n"), path), True
+        except DocumentError:
+            pass
+    return _parse_json(text, path), False
+
+
+def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
+    """Parse and validate a state document.
+
+    One ``json`` parse turns well-formed entries into numbers and, through
+    ``_read_json``, zero entries into ``None``; only rows holding anything
+    else go through ``_parse_entry``. Raises ``DocumentError`` for parse or
+    shape problems and ``StateValidationError`` when the matrix fails the
+    density-matrix invariants.
+    """
+    data, zeros_are_none = _read_json(path)
 
     _require(isinstance(data, dict), "document root must be an object")
     for key in ("dimA", "dimB", "jA", "jB", "jTotal", "matrix"):
@@ -161,6 +206,8 @@ def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
     _require(isinstance(rows, list) and len(rows) == dim, f"matrix must have {dim} rows")
     for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == dim, f"matrix row {i} must have {dim} entries")
+        if zeros_are_none:
+            row = rows[i] = [0j if e is None else e for e in row]
         if not _VALUE_TYPES.issuperset(map(type, row)):
             rows[i] = [e if type(e) in _VALUE_TYPES else _parse_entry(e) for e in row]
     mat = _finite_array(rows, complex, "matrix entries must be finite")

@@ -400,3 +400,27 @@ def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkey
     assert passes == []
     assert scans == [(n_live, n_live)]
     assert sorted(solves) == expected
+
+
+@pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])
+def test_hook_runs_once_per_entry_that_is_not_the_zero_literal(kind, tmp_path, monkeypatch):
+    # a 4|4 chain document (dim 256) is mostly the literal json.dumps writes
+    # for a zero entry; the loader parses those in C, so the object hook runs
+    # once per other entry and once on the root object, not dim x dim times
+    corpus = _benchmark_corpus()
+    text = corpus.document_text(getattr(corpus, kind)(730, 0, 4))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    calls = []
+    hook = cli._entry_hook
+
+    def counting_hook(obj):
+        calls.append(len(obj))
+        return hook(obj)
+
+    monkeypatch.setattr(cli, "_entry_hook", counting_hook)
+    s, rho = cli.load_document(str(path))
+    zeros = text.count('{"re": 0.0, "im": 0.0}')
+    assert 0 < zeros < s.dim * s.dim
+    assert len(calls) == s.dim * s.dim - zeros + 1
+    assert np.count_nonzero(rho.matrix) <= len(calls) - 1

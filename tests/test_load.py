@@ -1,16 +1,19 @@
 """The state-document loader against a per-entry reference.
 
-``cli.load_document`` parses each document in one ``json.load`` pass that
-turns well-formed ``{"re": x, "im": y}`` objects into numbers, and only
-rebuilds rows holding anything else. ``reference_load`` below is the
-per-entry loop it replaced; on every generated document both must give the
-same matrix bits or the same ``DocumentError`` message.
+``cli.load_document`` parses each document in one ``json`` pass that turns
+well-formed ``{"re": x, "im": y}`` objects into numbers, after replacing
+each zero literal ``{"re": 0.0, "im": 0.0}`` by ``null`` when the text holds
+no ``null``, and only rebuilds rows holding anything else.
+``reference_load`` below is the per-entry loop it replaced; on every
+generated document both must give the same matrix bits or the same
+``DocumentError`` message, positions in invalid JSON included.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -44,9 +47,12 @@ def reference_entry(entry) -> complex:
     raise DocumentError(f"matrix entries must be numbers or re/im objects, got {type(entry).__name__}")
 
 
-def reference_load(text: str):
+def reference_load(path):
     """Labels and matrix as the per-entry loop read them (no density-matrix checks)."""
-    data = json.loads(text)
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
     _require(isinstance(data, dict), "document root must be an object")
     for key in ("dimA", "dimB", "jA", "jB", "jTotal", "matrix"):
         _require(key in data, f"missing key {key!r}")
@@ -97,6 +103,10 @@ in_range_ints = st.one_of(
 )
 numbers = st.one_of(in_range_ints, st.floats(allow_nan=False, allow_infinity=True))
 
+#: What ``json.dumps`` writes for a zero entry: the text the loader substitutes.
+ZERO = '{"re": 0.0, "im": 0.0}'
+assert json.dumps({"re": 0.0, "im": 0.0}) == ZERO
+
 good_entries = st.one_of(
     numbers,
     st.builds(lambda x, y: {"re": x, "im": y}, numbers, numbers),
@@ -107,6 +117,7 @@ good_entries = st.one_of(
 )
 
 bad_entries = st.one_of(
+    st.none(),  # a genuine null: the text is parsed as it is
     st.booleans(),
     st.builds(lambda b, y: {"re": b, "im": y}, st.booleans(), numbers),
     st.builds(lambda x, b: {"im": b, "re": x}, numbers, st.booleans()),
@@ -117,6 +128,7 @@ bad_entries = st.one_of(
     st.builds(lambda y: {"re": math.nan, "im": y}, numbers),
     st.builds(lambda x: {"re": x, "im": "0"}, numbers),
     st.builds(lambda x: {"re": {"re": x, "im": 0}, "im": 0}, numbers),
+    st.just({"re": {"re": 0.0, "im": 0.0}, "im": 0}),
 )
 
 
@@ -125,7 +137,9 @@ def documents(draw):
     d_a = draw(st.integers(1, 2))
     d_b = draw(st.integers(1, 3))
     dim = d_a * d_b
-    rows = [[draw(good_entries) for _ in range(dim)] for _ in range(dim)]
+    # about half the entries are the zero literal, as in a dense document
+    entries = st.one_of(st.just({"re": 0.0, "im": 0.0}), good_entries)
+    rows = [[draw(entries) for _ in range(dim)] for _ in range(dim)]
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
         rows[i][j] = draw(bad_entries)
@@ -133,9 +147,12 @@ def documents(draw):
         i = draw(st.integers(0, dim - 1))
         rows[i] = rows[i][:-1] if draw(st.booleans()) else [*rows[i], 0.0]
     # every label 0 puts every pair on the shell J = 0
-    return json.dumps(
+    text = json.dumps(
         {"dimA": d_a, "dimB": d_b, "jA": [0] * d_a, "jB": [0.0] * d_b, "jTotal": 0, "matrix": rows}
     )
+    if draw(st.integers(0, 9)) == 0:  # invalid JSON: error positions must not move
+        text = text[: len(text) - draw(st.integers(1, len(text)))]
+    return text
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +164,7 @@ def doc_path(tmp_path_factory):
 @given(text=documents())
 def test_loader_matches_per_entry_reference(text, doc_path):
     doc_path.write_text(text)
-    assert outcome(new_load, doc_path) == outcome(reference_load, text)
+    assert outcome(new_load, doc_path) == outcome(reference_load, doc_path)
 
 
 def test_fixed_documents_match_reference(doc_path):
@@ -159,8 +176,80 @@ def test_fixed_documents_match_reference(doc_path):
     for rows in (whole, partial, rejected):
         text = json.dumps({"dimA": 1, "dimB": 2, "jA": [0], "jB": [0, 0], "jTotal": 0, "matrix": rows})
         doc_path.write_text(text)
-        assert outcome(new_load, doc_path) == outcome(reference_load, text)
+        assert outcome(new_load, doc_path) == outcome(reference_load, doc_path)
     assert outcome(new_load, doc_path) == ("error", "matrix entry re/im must be numbers")
+
+
+# --- the zero literal outside the matrix, next to null, inside strings ---
+
+
+def _zero_doc(
+    d_a="1", j_a="[0]", j_b="[0, 0]", j_total="0",
+    matrix=f"[[{ZERO}, 0.5], [0.5, {ZERO}]]", extra="",
+) -> str:
+    return (
+        f'{{"dimA": {d_a}, "dimB": 2, "jA": {j_a}, "jB": {j_b}, "jTotal": {j_total},'
+        f' "matrix": {matrix}{extra}}}'
+    )
+
+
+#: name -> (document text, how the loader must end: an error message, its
+#: start for invalid JSON, or None for a loaded matrix)
+ZERO_DOCS = {
+    "dimA": (_zero_doc(d_a=ZERO), "dimA must be a positive integer"),
+    "jA": (_zero_doc(j_a=ZERO), "jA must be a list of length dimA"),
+    "in_jA": (_zero_doc(j_a=f"[{ZERO}]"), "eigenvalue labels must be numbers"),
+    "in_jB": (_zero_doc(j_b=f"[0, {ZERO}]"), "eigenvalue labels must be numbers"),
+    "jTotal": (_zero_doc(j_total=ZERO), "eigenvalue labels must be numbers"),
+    "matrix": (_zero_doc(matrix=ZERO), "matrix must have 2 rows"),
+    "row": (_zero_doc(matrix=f"[{ZERO}, [0.5, 0.5]]"), "matrix row 0 must have 2 entries"),
+    "in_entry": (
+        _zero_doc(matrix=f'[[{{"re": {ZERO}, "im": 0}}, 0.5], [0.5, {ZERO}]]'),
+        "matrix entry re/im must be numbers",
+    ),
+    "key_of_entry": (
+        _zero_doc(matrix=f'[[{{"x": {ZERO}}}, 0.5], [0.5, {ZERO}]]'),
+        "unexpected keys in matrix entry: ['x']",
+    ),
+    "in_list_entry": (
+        _zero_doc(matrix=f"[[[{ZERO}], 0.5], [0.5, {ZERO}]]"),
+        "matrix entries must be numbers or re/im objects, got list",
+    ),
+    "next_to_null_entry": (
+        _zero_doc(matrix=f"[[{ZERO}, null], [0.5, {ZERO}]]"),
+        "matrix entries must be numbers or re/im objects, got NoneType",
+    ),
+    "next_to_null_label": (_zero_doc(j_b="[null, 0]"), "eigenvalue labels must be numbers"),
+    "null_in_a_string": (_zero_doc(extra=', "note": "null"'), None),
+    "in_a_string": (_zero_doc(extra=f', "note": "{ZERO}"'), "invalid JSON in "),
+    "in_a_key": (_zero_doc(extra=f', "{ZERO}": 1'), "invalid JSON in "),
+    "truncated": (_zero_doc()[:-1], "invalid JSON in "),
+    "trailing_text": (_zero_doc() + " x", "invalid JSON in "),
+    "negative_zero": (
+        _zero_doc(matrix='[[{"re": -0.0, "im": 0.0}, 0.5], [0.5, {"re": 0.0, "im": -0.0}]]'), None
+    ),
+    "keys_swapped": (_zero_doc(matrix='[[{"im": 0.0, "re": 0.0}, 0.5], [0.5, 0]]'), None),
+    "extra_key": (_zero_doc(extra=f', "note": {ZERO}'), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DOCS))
+def test_zero_literal_documents_match_reference(doc_path, name):
+    text, expected = ZERO_DOCS[name]
+    doc_path.write_text(text)
+    got = outcome(new_load, doc_path)
+    assert got == outcome(reference_load, doc_path)
+    if expected is None:
+        assert got[0] == ((0,), (0, 0), 0.0)
+    else:
+        assert got[0] == "error" and got[1].startswith(expected)
+
+
+def test_zero_literal_root_is_not_an_object(doc_path):
+    # the per-entry reference reads a root object as a document; the hook
+    # and the substitution both make it a value that is not an object
+    doc_path.write_text(ZERO)
+    assert outcome(new_load, doc_path) == ("error", "document root must be an object")
 
 
 # --- integers beyond float range ---
@@ -244,3 +333,33 @@ class TestUndecodableDocuments:
         path.write_bytes(UNDECODABLE_DOCS[name])
         assert cli.main([command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- documents nested beyond the parser's recursion limit ---
+
+DEEP_DOCS = {
+    "array": "[" * 200_000 + "]" * 200_000,
+    # a null sends the text straight to the plain parse
+    "array_with_null": "[" * 200_000 + "null" + "]" * 200_000,
+    "object": '{"a": ' * 200_000 + ZERO + "}" * 200_000,
+}
+
+
+class TestDeepDocuments:
+    @pytest.mark.parametrize("name", sorted(DEEP_DOCS))
+    def test_rejected_as_document_error(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(DEEP_DOCS[name])
+        with pytest.raises(DocumentError, match="^invalid JSON in .*maximum recursion depth"):
+            load_document(str(path))
+
+    @pytest.mark.parametrize("command", ["validate", "certify"])
+    @pytest.mark.parametrize("name", sorted(DEEP_DOCS))
+    def test_exit_code_one(self, tmp_path, command, name, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(DEEP_DOCS[name])
+        assert cli.main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON in ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
