@@ -30,8 +30,7 @@ from .linalg import PAULI_X, PAULI_Y, PAULI_Z, kron
 from .structure import (
     EPS_ZERO,
     AdditiveStructure,
-    DensityMatrix,
-    _Analysis,
+    _analysis,
     _check_dims,
     _matrix_of,
 )
@@ -173,7 +172,7 @@ def find_anchor_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> lis
     the row pair (M0, P0) is non-degenerate, the conjugate entry takes over
     the anchor role.
     """
-    analysis = _Analysis(rho, s, tol)
+    analysis = _analysis(rho, s, tol)
     return [_anchor_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.anchors())]
 
 
@@ -495,17 +494,14 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
 
     Absence of an anchor makes no locality claim; it only means this
     construction cannot certify a violation. Anchors are scanned in
-    ascending flat order and ties in the maximum keep the first.
+    ascending flat order and ties in the maximum keep the first; only that
+    one is built as an ``AnchorEntry``.
     """
-    return _certify_nonlocality(_Analysis(rho, s, tol))
-
-
-def _certify_nonlocality(analysis: _Analysis) -> ChshCertificate | None:
-    """``certify_nonlocality`` on one record: one ``AnchorEntry``, for the first maximum."""
+    analysis = _analysis(rho, s, tol)
     anchors = analysis.entries(*analysis.anchors())
     if not anchors:
         return None
-    mat, s = analysis.mat, analysis.s
+    mat = analysis.mat
     diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
     f_all = [_closed_form_f_max(mat, diag, row, col) for row, col, _ in anchors]
     return f_max_closed_form(mat, _anchor_entry(*anchors[f_all.index(max(f_all))], s.d_b), s)

@@ -26,12 +26,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chsh import ChshCertificate, _certify_nonlocality, grid_verify
+from .chsh import ChshCertificate, certify_nonlocality, grid_verify
 from .entanglement import (
     BlockWitness,
     CrossedEntry,
     EntanglementVerdict,
-    _certify,
+    certify,
     classify_sectors,
     reduced_purity,
 )
@@ -51,7 +51,6 @@ from .structure import (
     DensityMatrix,
     StateValidationError,
     TextureViolation,
-    _Analysis,
     validate_additivity,
 )
 
@@ -347,8 +346,8 @@ def _parse_zero_tol(text: str) -> float:
 
 def cmd_certify(args) -> int:
     structure, state = load_document(args.path)
-    analysis = _Analysis(state, structure, args.zero_tol)
-    violations = analysis.violations
+    # this call, certify and certify_nonlocality share the state's analysis record
+    violations = validate_additivity(state, structure, args.zero_tol)
     if violations:
         payload = {
             "textureViolations": [_violation_dict(v) for v in violations],
@@ -357,11 +356,11 @@ def cmd_certify(args) -> int:
         _emit(payload, args, _violation_lines(violations))
         return EXIT_DOMAIN
 
-    verdict: EntanglementVerdict = _certify(analysis)
+    verdict: EntanglementVerdict = certify(state, structure, args.zero_tol)
     purity_a = reduced_purity(state, structure, "A")
     purity_b = reduced_purity(state, structure, "B")
     classes = classify_sectors(structure)
-    cert = _certify_nonlocality(analysis)
+    cert = certify_nonlocality(state, structure, args.zero_tol)
 
     grid_info = None
     if cert is not None and args.grid is not None:

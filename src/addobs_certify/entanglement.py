@@ -23,10 +23,9 @@ from .structure import (
     EPS_PSD,
     EPS_ZERO,
     AdditiveStructure,
-    DensityMatrix,
     Sector,
     SectorBlock,
-    _Analysis,
+    _analysis,
     _check_dims,
     _check_tol,
     _matrix_of,
@@ -91,7 +90,7 @@ def find_crossed_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> li
     ``TextureError`` otherwise. Entries are reported in ascending flat
     (row, col) order with the upper-triangle orientation.
     """
-    analysis = _Analysis(rho, s, tol).valid()
+    analysis = _analysis(rho, s, tol).valid()
     return [_crossed_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.crossed)]
 
 
@@ -156,13 +155,9 @@ def certify(
     every case. ``psd_tol`` must be finite and nonnegative.
     """
     _check_tol("psd_tol", psd_tol)
-    return _certify(_Analysis(rho, s, tol), psd_tol)
-
-
-def _certify(analysis: _Analysis, psd_tol: float = EPS_PSD) -> EntanglementVerdict:
-    """``certify`` on one record: its scan, its blocks and their minima."""
+    analysis = _analysis(rho, s, tol)
     crossed = analysis.entries(*analysis.valid().crossed)
-    s, tol, min_pt = analysis.s, analysis.zero_tol, analysis.min_pt()
+    min_pt = analysis.min_pt
     if crossed:
         # Python abs, as on CrossedEntry.value: np.abs can differ from it in
         # the last bit, which would move the witness on near-ties

@@ -23,7 +23,9 @@ eigenvalues lie in no block; their rows of the partial transpose are zero.
 The blocks are cached per structure with the positions of rho their entries
 come from (the partial transpose only permutes entries), so no block needs
 rho^{T2} itself. ``_Analysis`` holds one state's texture scan and block
-minima, each computed at most once; the CLI shares one per document.
+minima, each computed at most once. A ``DensityMatrix`` keeps its last
+record, so public calls on one state share one scan and one solve per PT
+block; a raw array gets a fresh record on every call.
 """
 
 from __future__ import annotations
@@ -366,8 +368,8 @@ class DensityMatrix:
                 f"not positive semi-definite: min eigenvalue {min_eig:.3e}"
             )
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_live", live)
+        # a view of a read-only base cannot be made writeable, so _record cannot go stale
+        self.__dict__.update(matrix=mat.view(), _live=live, _record=None)
 
     @property
     def dim(self) -> int:
@@ -422,8 +424,10 @@ class TextureViolation:
 
 
 class _Analysis:
-    """One state under one structure and ``zero_tol``. The texture scan and each
-    block's read and solve run at most once, when first asked for.
+    """One state under one structure and ``zero_tol``. The texture scan, each
+    block's read and solve, and the min PT run at most once, when first asked
+    for. A ``DensityMatrix`` keeps its last record (``_analysis``), so public
+    calls on one state share one; a raw array gets a fresh one per call.
 
     ``live`` holds the live indices ``DensityMatrix`` found (found here for
     a raw array; None below ``_SPLIT_MIN_DIM``: the whole matrix is read).
@@ -432,7 +436,7 @@ class _Analysis:
     same pass sets ``crossed``, the (rows, cols) of the crossed entries
     (upper triangle, M+Q != J); ``anchors()`` picks their anchor orientations
     and ``entries`` reads such positions. ``block(k)`` reads block k of
-    ``s._pt_blocks`` from rho, ``block_min(k)`` solves it, and ``min_pt()`` is
+    ``s._pt_blocks`` from rho, ``block_min(k)`` solves it, and ``min_pt`` is
     ``min_pt_eigenvalue``.
     """
 
@@ -498,6 +502,7 @@ class _Analysis:
             self._mins[k] = float(eigenvalues_hermitian(self.block(k))[0])
         return self._mins[k]
 
+    @cached_property
     def min_pt(self) -> float:
         s, mat, live = self.s, self.mat, self.live
         if live is not None:
@@ -510,6 +515,20 @@ class _Analysis:
         return float(eigenvalues_hermitian(partial_transpose(mat, s.d_a, s.d_b))[0])
 
 
+def _analysis(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -> _Analysis:
+    """The record of ``rho`` under ``s`` and ``zero_tol``. A ``DensityMatrix``
+    is read-only, so its last record serves again while the structure (the
+    same object) and ``zero_tol`` stay; other ones replace it. A raw array
+    can change between calls and gets a fresh record."""
+    if not isinstance(rho, DensityMatrix):
+        return _Analysis(rho, s, zero_tol)
+    record = rho._record
+    if record is None or record.s is not s or record.zero_tol != zero_tol:
+        record = _Analysis(rho, s, zero_tol)
+        rho.__dict__["_record"] = record
+    return record
+
+
 def validate_additivity(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -> list[TextureViolation]:
     """Every entry above ``zero_tol`` whose labels violate M+P = J or N+Q = J.
 
@@ -517,7 +536,7 @@ def validate_additivity(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -
     definite total value (within the tolerances). ``zero_tol`` must be
     finite and nonnegative.
     """
-    return _Analysis(rho, s, zero_tol).violations
+    return list(_analysis(rho, s, zero_tol).violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,7 +601,7 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
     blocks reconstruct rho^{T2} exactly; sector blocks carry the whole
     trace, cross blocks are traceless.
     """
-    mat = _Analysis(rho, s, zero_tol).valid().mat
+    mat = _analysis(rho, s, zero_tol).valid().mat
     type_a: list[SectorBlock] = []
     type_b: list[CrossBlock] = []
     for sec, partner, flats_mq, flats_np, rows, cols in s._pt_blocks:
@@ -609,4 +628,4 @@ def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
     whole. The texture is not scanned. Raises ``ValueError`` when rho^{T2}
     is not Hermitian.
     """
-    return _Analysis(rho, s).min_pt()
+    return _analysis(rho, s).min_pt

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from addobs_certify import cli, entanglement, structure
+from addobs_certify import chsh, cli, entanglement, structure
 from addobs_certify.higgs_zz import params_from_measured, rho_from_params
 from addobs_certify.linalg import eigenvalues_hermitian
 from addobs_certify.structure import pt_block_decomposition
@@ -397,6 +397,55 @@ def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkey
         monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
     assert cli.main(["certify", str(path)]) == 0
     assert "texture: VALID" in capsys.readouterr().out
+    assert passes == []
+    assert scans == [(n_live, n_live)]
+    assert sorted(solves) == expected
+
+
+@pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])
+def test_public_calls_on_one_state_share_its_record(kind, tmp_path, monkeypatch):
+    # the library calls on one DensityMatrix of a 4|4 chain document read the
+    # record the state keeps: together they make one texture scan, on the
+    # live x live mask, and one eigensolve per PT block holding a nonzero
+    # entry, counted as in the test above
+    corpus = _benchmark_corpus()
+    path = tmp_path / f"{kind}.json"
+    path.write_text(corpus.document_text(getattr(corpus, kind)(730, 0, 4)))
+    s, rho = cli.load_document(str(path))
+    other_s, other = cli.load_document(str(path))  # the blocks, from a state of its own
+    decomposition = pt_block_decomposition(other, other_s)
+    blocks = [b.matrix for b in decomposition.type_a + decomposition.type_b]
+    expected = sorted(len(b) for b in blocks if np.count_nonzero(b))
+
+    n_live = len(rho._live)
+    passes, scans, solves = [], [], []
+
+    def counting(name):
+        original = getattr(np, name)
+
+        def count(a, *args, **kwargs):
+            if np.size(a) == s.dim * s.dim:
+                passes.append(name)
+            if name == "flatnonzero" and np.ndim(a) == 2:
+                scans.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, count)
+
+    def counting_eigenvalues(h, *args, **kwargs):
+        solves.append(len(h))
+        return eigenvalues_hermitian(h, *args, **kwargs)
+
+    counting("flatnonzero")
+    counting("count_nonzero")
+    for module in (structure, entanglement):
+        monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
+    assert structure.validate_additivity(rho, s) == []
+    entanglement.certify(rho, s)
+    chsh.certify_nonlocality(rho, s)
+    structure.min_pt_eigenvalue(rho, s)
+    entanglement.find_crossed_entries(rho, s)
+    chsh.find_anchor_entries(rho, s)
     assert passes == []
     assert scans == [(n_live, n_live)]
     assert sorted(solves) == expected

@@ -8,6 +8,8 @@ entries in one vectorized pass and must agree with them exactly.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from addobs_certify.chsh import (
     find_anchor_entries,
     grid_verify,
 )
-from addobs_certify.entanglement import CrossedEntry, certify, find_crossed_entries
+from addobs_certify.entanglement import CrossedEntry, VerdictStatus, certify, find_crossed_entries
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE
 from addobs_certify.structure import (
     AdditiveStructure,
@@ -356,3 +358,179 @@ def test_bad_tolerance_rejected(tol):
                pt_block_decomposition, certify_nonlocality):
         with pytest.raises(ValueError, match="zero_tol"):
             fn(mat, s, tol)
+
+
+# --- one analysis record per state ---
+
+BELL = AdditiveStructure((0.5, -0.5), (0.5, -0.5), 0.0)
+#: Total S_z of each basis state of three spin-1/2s.
+SPIN3 = tuple((3 - 2 * bin(k).count("1")) / 2.0 for k in range(8))
+#: A 3|3 chain cut at J = 0: dim 64, so calls take the live-index path.
+CHAIN3 = AdditiveStructure(SPIN3, SPIN3, 0.0)
+
+
+def _loose_state(mat):
+    """``mat`` as a ``DensityMatrix`` whatever its trace and spectrum."""
+    return DensityMatrix(mat, trace_tol=1e300, psd_tol=1e300)
+
+
+def _blocks(decomposition):
+    """Each block's fields, with its matrix as bytes: blocks compare by identity."""
+    return [
+        tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(b).values())
+        for b in decomposition.type_a + decomposition.type_b
+    ]
+
+
+def _certificate(cert):
+    return cert and (cert.anchor, cert.reorder, cert.f_max, cert.theta_opt, cert.phi_opt)
+
+
+#: Every public function that reads the record, as (rho, s, tol) -> comparable value.
+RECORD_CALLS = {
+    "validate_additivity": validate_additivity,
+    "find_crossed_entries": find_crossed_entries,
+    "find_anchor_entries": find_anchor_entries,
+    "certify": certify,
+    "certify_nonlocality": lambda rho, s, tol: _certificate(certify_nonlocality(rho, s, tol)),
+    "min_pt_eigenvalue": lambda rho, s, tol: min_pt_eigenvalue(rho, s),
+    "pt_block_decomposition": lambda rho, s, tol: _blocks(pt_block_decomposition(rho, s, tol)),
+}
+
+
+def _outcome(name, rho, s, tol):
+    try:
+        return RECORD_CALLS[name](rho, s, tol)
+    except TextureError as exc:
+        return "TextureError", exc.violations
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(scan_cases(), live_scan_cases()), st.data())
+def test_alternating_keys_on_one_state_answer_as_fresh_states(case, data):
+    # one state asked under alternating structures and tolerances keeps one
+    # record at a time; each answer must be the one a fresh state gives
+    s, rho, tol = case
+    source = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    state = _loose_state(source)
+    twins = (
+        s,
+        AdditiveStructure(s.j_alice, s.j_bob, s.j_total),  # equal, another object
+        AdditiveStructure(s.j_alice[::-1], s.j_bob, s.j_total),  # another shell
+    )
+    # a tolerance amid the entries' magnitudes, so tolerances change answers
+    magnitudes = np.abs(source[source != 0])
+    tols = [tol, 0.0, float(np.median(magnitudes)) if magnitudes.size else 1e-3]
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(twins), st.sampled_from(tols), st.sampled_from(sorted(RECORD_CALLS))),
+        min_size=2, max_size=10,
+    ))
+    for s_k, tol_k, name in calls:
+        assert _outcome(name, state, s_k, tol_k) == _outcome(name, _loose_state(source), s_k, tol_k)
+
+
+def test_validate_additivity_hands_out_a_new_list():
+    # the off-shell diagonal entry at |00> violates the texture
+    rho = DensityMatrix(np.diag([0.2, 0.5, 0.3, 0.0]).astype(complex))
+    violations = validate_additivity(rho, BELL)
+    assert [(v.row, v.col) for v in violations] == [(0, 0)]
+    expected = list(violations)
+    violations.clear()
+    assert _raises_texture(certify, rho, BELL) == expected
+    assert validate_additivity(rho, BELL) == expected
+    assert validate_additivity(rho, BELL) is not validate_additivity(rho, BELL)
+
+
+def test_pt_block_decomposition_hands_out_fresh_blocks():
+    # overwriting the handed-out blocks changes neither a later
+    # decomposition nor the solves the state's record makes afterwards
+    mat = shell_state(np.random.default_rng(11), CHAIN3)
+    rho = DensityMatrix(mat)
+    first = pt_block_decomposition(rho, CHAIN3)
+    expected = _blocks(first)
+    for block in first.type_a + first.type_b:
+        block.matrix[...] = 7.0
+    assert certify(rho, CHAIN3) == certify(DensityMatrix(mat), CHAIN3)
+    assert min_pt_eigenvalue(rho, CHAIN3) == min_pt_eigenvalue(DensityMatrix(mat), CHAIN3)
+    second = pt_block_decomposition(rho, CHAIN3)
+    assert _blocks(second) == expected
+    for a, b in zip(first.type_a + first.type_b, second.type_a + second.type_b):
+        assert not np.shares_memory(a.matrix, b.matrix)
+
+
+def test_a_state_cannot_be_written_under_its_record():
+    rho = DensityMatrix(np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex))
+    assert certify(rho, BELL).status is VerdictStatus.SEPARABLE_CERTIFIED
+    with pytest.raises(ValueError):
+        rho.matrix[1, 2] = 0.5
+    with pytest.raises(ValueError):
+        rho.matrix.setflags(write=True)
+
+
+@pytest.mark.parametrize("s", [BELL, CHAIN3], ids=["dim4", "dim64"])
+def test_a_raw_array_is_read_afresh_on_every_call(s):
+    full = shell_state(np.random.default_rng(5), s)
+    row, col = next((e.row, e.col) for e in find_crossed_entries(full, s))
+    mat = np.diag(np.diag(full))  # the shell diagonal: no crossed entry
+    before = certify(mat, s)
+    assert not isinstance(before.witness, CrossedEntry)
+    assert validate_additivity(mat, s) == [] and find_crossed_entries(mat, s) == []
+    mat[row, col], mat[col, row] = full[row, col], full[col, row]
+    after = certify(mat, s)
+    assert (after.witness.row, after.witness.col) == (row, col)
+    assert min_pt_eigenvalue(mat, s) < before.min_pt_eigenvalue
+    assert after == certify(mat.copy(), s)
+    off = next(k for k in range(s.dim) if k not in s.shell_flats)
+    mat[off, off] = 0.1
+    assert [(v.row, v.col) for v in validate_additivity(mat, s)] == [(off, off)]
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+def test_bad_tolerance_rejected_on_a_state_with_a_record(tol):
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[1, 1] = mat[2, 2] = 0.5
+    rho = DensityMatrix(mat)
+    message = f"zero_tol must be finite and nonnegative, got {tol!r}"
+    for fn in (validate_additivity, find_crossed_entries, find_anchor_entries,
+               pt_block_decomposition, certify, certify_nonlocality):
+        fn(rho, BELL)  # the state now keeps a record under the default tolerance
+        with pytest.raises(ValueError) as info:
+            fn(rho, BELL, tol)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            fn(mat, BELL, tol)
+        assert str(info.value) == message
+
+
+def test_threads_sharing_one_state_get_the_answers_of_fresh_states():
+    # threads alternate tolerances on one state, so its record is replaced
+    # under them; every answer must still be the one a fresh state gives
+    mat = shell_state(np.random.default_rng(3), CHAIN3)
+    tols = (0.0, float(np.median(np.abs(mat[mat != 0]))))
+
+    def answers(rho, tol):
+        return [RECORD_CALLS[name](rho, CHAIN3, tol) for name in ("find_crossed_entries", "certify", "certify_nonlocality")]
+
+    expected = {tol: answers(DensityMatrix(mat), tol) for tol in tols}
+    assert expected[tols[0]] != expected[tols[1]]
+    rho, wrong = DensityMatrix(mat), []
+
+    def work(offset):
+        for i in range(40):
+            tol = tols[(i + offset) % 2]
+            got = answers(rho, tol)
+            if got != expected[tol]:
+                wrong.append((tol, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
