@@ -172,8 +172,8 @@ def find_anchor_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> lis
     the row pair (M0, P0) is non-degenerate, the conjugate entry takes over
     the anchor role.
     """
-    analysis = _analysis(rho, s, tol)
-    return [_anchor_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.anchors())]
+    analysis = _analysis(rho, s)
+    return [_anchor_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.valid(tol).anchors)]
 
 
 def _anchor_entry(row: int, col: int, value: complex, d_b: int) -> AnchorEntry:
@@ -248,24 +248,18 @@ def o_expectations(rho, d_a: int, d_b: int) -> OExpectations:
 
     Works directly on the entries of the (reordered) matrix, without
     building any operator; agrees with Tr(rho * O_i) to machine precision.
+    Like ``build_o_operators``, needs both parties of dimension 2 or more.
     """
+    if d_a < 2 or d_b < 2:
+        raise ValueError("both parties need dimension at least 2")
     mat = _matrix_of(rho)
     if mat.shape[0] != d_a * d_b:
         raise ValueError(
             f"dimension mismatch: matrix has dim {mat.shape[0]}, expected {d_a}*{d_b}"
         )
-    tensor = mat.reshape(d_a, d_b, d_a, d_b)
-    diag = np.einsum("ijij->ij", tensor).real
-
+    diag = mat.diagonal().real.reshape(d_a, d_b)
     o0 = float(np.sum(diag[0, 2:]) - np.sum(diag[1, 2:]) + np.sum(diag[2:, 2:]))
-    oz = float(
-        (diag[0, 0] - diag[0, 1])
-        + (diag[1, 1] - diag[1, 0])
-        + np.sum(diag[2:, 0] - diag[2:, 1])
-    )
-    cross = tensor[0, 0, 1, 1] + tensor[1, 0, 0, 1] + np.sum(tensor[2:, 0, 2:, 1].diagonal())
-    ox = float(2.0 * cross.real)
-    oy = float(-2.0 * cross.imag)
+    ox, oy, oz = _o_vector(mat, diag, BasisReordering(tuple(range(d_a)), tuple(range(d_b))))
     return OExpectations(o0=o0, ox=ox, oy=oy, oz=oz)
 
 
@@ -288,10 +282,7 @@ def _validate_anchor(anchor: AnchorEntry, s: AdditiveStructure) -> None:
             raise ValueError(f"anchor {party} index {idx} out of range")
     if not (s.on_shell(m, p) and s.on_shell(n, q)):
         raise ValueError("anchor pairs must lie on the J shell")
-    # the shell is a matching of label groups, so with both pairs on it
-    # (M0, Q0) is on the shell exactly when (N0, P0) is: one test covers the
-    # conjugate anchors, found crossed from the upper-triangle entry
-    if s.on_shell(m, q):
+    if not s._crossed(anchor.row(s.d_b), anchor.col(s.d_b)):
         raise ValueError("anchor must be a crossed entry (M0+Q0 != J)")
     if not s._flat_flags[1][s.flat_index(n, q)]:
         raise ValueError("anchor column labels (N0, Q0) must be non-degenerate")
@@ -315,9 +306,9 @@ def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, row: int, col: int) ->
 def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tuple[float, float, float]:
     """(<Ox>, <Oy>, <Oz>) of the reordered state, without reordering ``mat``.
 
-    Reads the entries ``o_expectations`` sums on ``reorder.apply(mat)``
-    through the basis orders instead, in the same order, so the values are
-    the same to the bit. ``diag`` is diag(rho) as d_a x d_b.
+    Reads the entries of ``reorder.apply(mat)`` that the sums need through
+    the basis orders instead; ``o_expectations`` passes the identity
+    orders. ``diag`` is diag(rho) as d_a x d_b.
     """
     (m0, n0, *rest), (p0, q0, *_) = reorder.alice_order, reorder.bob_order
     d_b = diag.shape[1]
@@ -497,8 +488,8 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
     ascending flat order and ties in the maximum keep the first; only that
     one is built as an ``AnchorEntry``.
     """
-    analysis = _analysis(rho, s, tol)
-    anchors = analysis.entries(*analysis.anchors())
+    analysis = _analysis(rho, s)
+    anchors = analysis.entries(*analysis.valid(tol).anchors)
     if not anchors:
         return None
     mat = analysis.mat

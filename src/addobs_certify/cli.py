@@ -534,29 +534,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="report format"
     )
 
-    p_validate = sub.add_parser(
-        "validate", parents=[common], help="check the additive-observable texture"
-    )
-    p_validate.add_argument("path", help="state document (JSON)")
-    p_validate.add_argument(
-        "--zero-tol", type=_parse_zero_tol, default=EPS_ZERO,
-        help="threshold below which entries count as vanishing",
-    )
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_certify = sub.add_parser(
-        "certify", parents=[common], help="entanglement verdict and CHSH certificate"
-    )
-    p_certify.add_argument("path", help="state document (JSON)")
-    p_certify.add_argument(
-        "--zero-tol", type=_parse_zero_tol, default=EPS_ZERO,
-        help="threshold below which entries count as vanishing",
-    )
-    p_certify.add_argument(
+    for name, func, help_text in (
+        ("validate", cmd_validate, "check the additive-observable texture"),
+        ("certify", cmd_certify, "entanglement verdict and CHSH certificate"),
+    ):
+        p_state = sub.add_parser(name, parents=[common], help=help_text)
+        p_state.add_argument("path", help="state document (JSON)")
+        p_state.add_argument(
+            "--zero-tol", type=_parse_zero_tol, default=EPS_ZERO,
+            help="threshold below which entries count as vanishing",
+        )
+        p_state.set_defaults(func=func)
+    sub.choices["certify"].add_argument(
         "--grid", type=_parse_grid, default=None, metavar="NTHETAxNPHI",
         help="cross-check the closed-form maximum on an angle grid",
     )
-    p_certify.set_defaults(func=cmd_certify)
 
     p_higgs = sub.add_parser(
         "higgs", parents=[common], help="H->ZZ CHSH values and table reproduction"

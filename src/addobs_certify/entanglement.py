@@ -90,8 +90,8 @@ def find_crossed_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> li
     ``TextureError`` otherwise. Entries are reported in ascending flat
     (row, col) order with the upper-triangle orientation.
     """
-    analysis = _analysis(rho, s, tol).valid()
-    return [_crossed_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.crossed)]
+    analysis = _analysis(rho, s)
+    return [_crossed_entry(*entry, s.d_b) for entry in analysis.entries(*analysis.valid(tol).crossed)]
 
 
 def _crossed_entry(row: int, col: int, value: complex, d_b: int) -> CrossedEntry:
@@ -155,8 +155,8 @@ def certify(
     every case. ``psd_tol`` must be finite and nonnegative.
     """
     _check_tol("psd_tol", psd_tol)
-    analysis = _analysis(rho, s, tol)
-    crossed = analysis.entries(*analysis.valid().crossed)
+    analysis = _analysis(rho, s)
+    crossed = analysis.entries(*analysis.valid(tol).crossed)
     min_pt = analysis.min_pt
     if crossed:
         # Python abs, as on CrossedEntry.value: np.abs can differ from it in
@@ -174,10 +174,10 @@ def certify(
     for cls, k in zip(classes, shell_blocks):
         if cls.kind is SectorKind.TYPE1:
             continue
-        tr = float(np.trace(analysis.block(k)).real)
+        low, tr = analysis.block_min(k)
         if tr <= tol:
             continue  # zero-weight sector carries no state
-        low = analysis.block_min(k) / tr
+        low /= tr
         if low < -psd_tol and (worst is None or low < worst.min_eigenvalue):
             worst = BlockWitness(cls.sector, low)
     if worst is not None:

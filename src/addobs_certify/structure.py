@@ -18,14 +18,16 @@ blocks:
 
 Every label test (shell, crossed, degeneracy, sector, partner) reads one
 shell table of label groups per structure, so the blocks are disjoint and
-hold every shell pair by construction. Off-shell pairs without partner
-eigenvalues lie in no block; their rows of the partial transpose are zero.
-The blocks are cached per structure with the positions of rho their entries
-come from (the partial transpose only permutes entries), so no block needs
-rho^{T2} itself. ``_Analysis`` holds one state's texture scan and block
-minima, each computed at most once. A ``DensityMatrix`` keeps its last
-record, so public calls on one state share one scan and one solve per PT
-block; a raw array gets a fresh record on every call.
+hold every shell pair by construction; ``AdditiveStructure._crossed``
+alone defines a crossed entry. Off-shell pairs without partner eigenvalues
+lie in no block; their rows of the partial transpose are zero. The blocks
+are cached per structure with the positions of rho their entries come from
+(the partial transpose only permutes entries), so no block needs rho^{T2}
+itself. ``_Analysis`` holds one state under one structure: each block's
+minimum and trace, solved at most once, and the texture scan at the last
+``zero_tol``, the one result that depends on it. A ``DensityMatrix`` keeps
+its last record, so public calls on one state share one solve per PT block
+at any tolerances; a raw array gets a fresh record on every call.
 """
 
 from __future__ import annotations
@@ -193,6 +195,12 @@ class AdditiveStructure:
         alone = np.logical_and.outer(np.bincount(alice)[alice] == 1, np.bincount(bob)[bob] == 1)
         return shell.ravel(), alone.ravel()
 
+    def _crossed(self, rows, cols):
+        """Whether the entries at flat positions (rows, cols), ints or arrays,
+        are crossed: both pairs on the shell and the pair (M, Q) off it."""
+        shell = self._flat_flags[0]
+        return shell[rows] & shell[cols] & ~shell[rows - rows % self.d_b + cols % self.d_b]
+
     @cached_property
     def _pt_blocks(self) -> tuple[_PtBlock, ...]:
         """The blocks of rho^{T2} forced by the texture, in sector order.
@@ -205,27 +213,25 @@ class AdditiveStructure:
         block: for a texture-valid rho its rows of rho^{T2} are zero.
         """
         sectors = build_sectors(self)
-        n_bob = len(self.bob_groups)
+        n_bob, d_b = len(self.bob_groups), self.d_b
         blocks = []
         for k, sec in enumerate(sectors):
             a, b = divmod(k, n_bob)
             n, p = self._alice_match[b], self._bob_match[a]
-            flats = sec.flat_indices(self.d_b)
             if p == b:
-                blocks.append(self._new_pt_block(sec, None, flats, ()))
+                partner = None
             elif n >= 0 and p >= 0 and k < n * n_bob + p:
                 partner = sectors[n * n_bob + p]
-                blocks.append(self._new_pt_block(sec, partner, flats, partner.flat_indices(self.d_b)))
+            else:
+                continue
+            flats_mq, flats_np = sec.flat_indices(d_b), partner.flat_indices(d_b) if partner else ()
+            # rho^{T2}[(m,q),(n,p)] = rho[(m,p),(n,q)]: a row of rho takes the
+            # Alice index of the PT row and the Bob index of the PT column
+            alice, bob = np.divmod(np.asarray(flats_mq + flats_np, dtype=np.intp), d_b)
+            alice *= d_b
+            rows, cols = alice[:, None] + bob[None, :], alice[None, :] + bob[:, None]
+            blocks.append(_PtBlock(sec, partner, flats_mq, flats_np, rows, cols))
         return tuple(blocks)
-
-    def _new_pt_block(self, sector, partner, flats_mq, flats_np) -> _PtBlock:
-        # rho^{T2}[(m,q),(n,p)] = rho[(m,p),(n,q)]: a row of rho takes the
-        # Alice index of the PT row and the Bob index of the PT column
-        alice, bob = np.divmod(np.asarray(flats_mq + flats_np, dtype=np.intp), self.d_b)
-        alice *= self.d_b
-        rows = alice[:, None] + bob[None, :]
-        cols = alice[None, :] + bob[:, None]
-        return _PtBlock(sector, partner, flats_mq, flats_np, rows, cols)
 
     def alice_group(self, value: float) -> tuple[float, tuple[int, ...]] | None:
         return next((g for g in self.alice_groups if abs(g[0] - value) <= self.eps_j), None)
@@ -341,7 +347,7 @@ class DensityMatrix:
         if mat.size == 0:
             raise StateValidationError("density matrix is empty (0 x 0)")
         dim = mat.shape[0]
-        live = _live_indices(mat) if dim >= _SPLIT_MIN_DIM else None
+        live = _live_indices(mat)
         sub = mat if live is None else mat[np.ix_(live, live)]
         if not np.isfinite(sub).all():
             raise StateValidationError("density matrix has non-finite entries")
@@ -376,8 +382,8 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-#: From this dimension up a state's live indices are found once, by
-#: ``DensityMatrix`` (or by ``_Analysis`` for a raw array), and the checks, the
+#: From this dimension up ``_live_indices`` finds a state's live indices, once
+#: per ``DensityMatrix`` (or per ``_Analysis`` for a raw array), and the checks, the
 #: texture scan and the min-PT guard read them; below it a matrix is checked,
 #: scanned and solved whole. At dims 4-20 finding and copying the support
 #: costs more than the smaller eigensolve saves: with the
@@ -387,12 +393,15 @@ class DensityMatrix:
 _SPLIT_MIN_DIM = 32
 
 
-def _live_indices(mat: np.ndarray) -> np.ndarray:
-    """Ascending indices whose row or column of ``mat`` has a nonzero bit.
+def _live_indices(mat: np.ndarray) -> np.ndarray | None:
+    """Ascending indices whose row or column of ``mat`` has a nonzero bit, or
+    None below ``_SPLIT_MIN_DIM``, where the whole matrix is read.
 
     Both axes count: a zero row whose column is nonzero still carries a
     hermiticity defect. Each complex entry is read as two 64-bit words.
     """
+    if len(mat) < _SPLIT_MIN_DIM:
+        return None
     bits = np.ascontiguousarray(mat).view(np.uint64)
     return np.flatnonzero(bits.any(axis=1) | bits.any(axis=0).reshape(-1, 2).any(axis=1))
 
@@ -423,61 +432,70 @@ class TextureViolation:
     col_label_sum: float
 
 
-class _Analysis:
-    """One state under one structure and ``zero_tol``. The texture scan, each
-    block's read and solve, and the min PT run at most once, when first asked
-    for. A ``DensityMatrix`` keeps its last record (``_analysis``), so public
-    calls on one state share one; a raw array gets a fresh one per call.
+class _Scan(NamedTuple):
+    """One texture scan at ``zero_tol``: the violations, in ascending flat
+    (row, col) order, and the (rows, cols) of the crossed entries (upper
+    triangle) and of their anchor orientations."""
 
-    ``live`` holds the live indices ``DensityMatrix`` found (found here for
-    a raw array; None below ``_SPLIT_MIN_DIM``: the whole matrix is read).
-    ``violations`` runs the texture scan on the live submatrix: the entries
-    above ``zero_tol`` off the shell, in ascending flat (row, col) order. The
-    same pass sets ``crossed``, the (rows, cols) of the crossed entries
-    (upper triangle, M+Q != J); ``anchors()`` picks their anchor orientations
-    and ``entries`` reads such positions. ``block(k)`` reads block k of
-    ``s._pt_blocks`` from rho, ``block_min(k)`` solves it, and ``min_pt`` is
-    ``min_pt_eigenvalue``.
+    zero_tol: float
+    violations: tuple[TextureViolation, ...]
+    crossed: tuple[np.ndarray, np.ndarray]
+    anchors: tuple[np.ndarray, np.ndarray]
+
+
+class _Analysis:
+    """One state under one structure (see ``_analysis``). Each PT block's
+    (lambda_min, trace) and the min PT, which do not depend on ``zero_tol``,
+    are computed at most once, when first asked for; ``scan(zero_tol)``
+    keeps the last tolerance's scan in one slot. ``live`` holds the live
+    indices ``DensityMatrix`` found (found here for a raw array; None below
+    ``_SPLIT_MIN_DIM``: the whole matrix is read).
     """
 
-    def __init__(self, rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO):
+    def __init__(self, rho, s: AdditiveStructure):
         self.mat = _matrix_of(rho)
         _check_dims(self.mat, s)
-        _check_tol("zero_tol", zero_tol)
-        self.s, self.zero_tol = s, zero_tol
-        self.live = rho._live if isinstance(rho, DensityMatrix) else (
-            _live_indices(self.mat) if s.dim >= _SPLIT_MIN_DIM else None)
-        self._blocks, self._mins = {}, {}  # block k read from rho, and its smallest eigenvalue
+        self.s = s
+        self.live = rho._live if isinstance(rho, DensityMatrix) else _live_indices(self.mat)
+        self._scan, self._mins = None, {}  # the last scan, and block k's (lambda_min, trace)
 
-    @cached_property
-    def violations(self) -> list[TextureViolation]:
+    def scan(self, zero_tol: float) -> _Scan:
+        """The texture scan at ``zero_tol``: the entries above it, on the live
+        submatrix, classified by ``s._crossed`` and the shell flags."""
+        _check_tol("zero_tol", zero_tol)
+        last = self._scan  # read once and returned, so other threads cannot swap it
+        if last is not None and last.zero_tol == zero_tol:
+            return last
         s, d_b, live = self.s, self.s.d_b, self.live
-        shell = s._flat_flags[0]
+        shell, nondeg = s._flat_flags
         sub = self.mat if live is None else self.mat[np.ix_(live, live)]
-        rows, cols = np.divmod(np.flatnonzero(np.abs(sub) > self.zero_tol), len(sub))
+        rows, cols = np.divmod(np.flatnonzero(np.abs(sub) > zero_tol), len(sub))
         if live is not None:  # ascending, so the order of the positions stays
             rows, cols = live[rows], live[cols]
         valid = shell[rows] & shell[cols]
-        violations = [
+        violations = tuple(
             TextureViolation(
                 row, col, *divmod(row, d_b), *divmod(col, d_b), value,
                 s.label_sum(*divmod(row, d_b)), s.label_sum(*divmod(col, d_b)),
             )
             for row, col, value in self.entries(rows[~valid], cols[~valid])
-        ] if not valid.all() else []
-        # crossed: upper triangle, both pairs on the shell, the pair (m, q) off it
-        crossed = valid & ~shell[rows - rows % d_b + cols % d_b] & (rows < cols)
-        self.crossed = rows[crossed], cols[crossed]
-        return violations
-
-    def anchors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Of each crossed entry (``valid`` first), the entry when its column
-        pair (N, Q) is non-degenerate, else its conjugate when (M, P) is."""
-        (rows, cols), nondeg = self.valid().crossed, self.s._flat_flags[1]
+        ) if not valid.all() else ()
+        upper = s._crossed(rows, cols) & (rows < cols)
+        rows, cols = rows[upper], cols[upper]
+        # the anchor: the entry when its column pair (N, Q) is non-degenerate,
+        # else its conjugate when (M, P) is
         forward = nondeg[cols]
         keep = forward | nondeg[rows]
-        forward, rows, cols = forward[keep], rows[keep], cols[keep]
-        return np.where(forward, rows, cols), np.where(forward, cols, rows)
+        anchors = np.where(forward, rows, cols)[keep], np.where(forward, cols, rows)[keep]
+        last = self._scan = _Scan(zero_tol, violations, (rows, cols), anchors)
+        return last
+
+    def valid(self, zero_tol: float) -> _Scan:
+        """``scan(zero_tol)``; raises ``TextureError`` if it found violations."""
+        scan = self.scan(zero_tol)
+        if scan.violations:
+            raise TextureError(scan.violations)
+        return scan
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int, complex]]:
         """(row, col, value) at each position, as Python numbers."""
@@ -485,21 +503,14 @@ class _Analysis:
             return []
         return list(zip(rows.tolist(), cols.tolist(), self.mat[rows, cols].tolist()))
 
-    def valid(self) -> _Analysis:
-        """This record, scanned; raises ``TextureError`` if the scan found violations."""
-        if self.violations:
-            raise TextureError(self.violations)
-        return self
-
-    def block(self, k: int) -> np.ndarray:
-        if k not in self._blocks:
-            b = self.s._pt_blocks[k]
-            self._blocks[k] = self.mat[b.rows, b.cols]
-        return self._blocks[k]
-
-    def block_min(self, k: int) -> float:
+    def block_min(self, k: int) -> tuple[float, float]:
+        """(lambda_min, trace) of block k of ``s._pt_blocks``, read from rho
+        once; lambda_min is 0.0, without a solve, for an all-zero block."""
         if k not in self._mins:
-            self._mins[k] = float(eigenvalues_hermitian(self.block(k))[0])
+            b = self.s._pt_blocks[k]
+            block = self.mat[b.rows, b.cols]
+            low = float(eigenvalues_hermitian(block)[0]) if block.any() else 0.0
+            self._mins[k] = low, float(np.trace(block).real)
         return self._mins[k]
 
     @cached_property
@@ -510,22 +521,21 @@ class _Analysis:
             off = live[~s._flat_flags[0][live]]
             if not (mat[np.ix_(off, live)].any() or mat[np.ix_(live, off)].any()):
                 blocks = s._pt_blocks
-                low = min(self.block_min(k) if self.block(k).any() else 0.0 for k in range(len(blocks)))
+                low = min(self.block_min(k)[0] for k in range(len(blocks)))
                 return low if sum(len(b.rows) for b in blocks) == s.dim else min(low, 0.0)
         return float(eigenvalues_hermitian(partial_transpose(mat, s.d_a, s.d_b))[0])
 
 
-def _analysis(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -> _Analysis:
-    """The record of ``rho`` under ``s`` and ``zero_tol``. A ``DensityMatrix``
-    is read-only, so its last record serves again while the structure (the
-    same object) and ``zero_tol`` stay; other ones replace it. A raw array
-    can change between calls and gets a fresh record."""
+def _analysis(rho, s: AdditiveStructure) -> _Analysis:
+    """The record of ``rho`` under ``s``. A ``DensityMatrix`` is read-only, so
+    its last record serves again while the structure is the same object;
+    another one replaces it. A raw array can change between calls and gets a
+    fresh record."""
     if not isinstance(rho, DensityMatrix):
-        return _Analysis(rho, s, zero_tol)
+        return _Analysis(rho, s)
     record = rho._record
-    if record is None or record.s is not s or record.zero_tol != zero_tol:
-        record = _Analysis(rho, s, zero_tol)
-        rho.__dict__["_record"] = record
+    if record is None or record.s is not s:
+        record = rho.__dict__["_record"] = _Analysis(rho, s)
     return record
 
 
@@ -536,7 +546,7 @@ def validate_additivity(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO) -
     definite total value (within the tolerances). ``zero_tol`` must be
     finite and nonnegative.
     """
-    return list(_analysis(rho, s, zero_tol).violations)
+    return list(_analysis(rho, s).scan(zero_tol).violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,7 +611,9 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
     blocks reconstruct rho^{T2} exactly; sector blocks carry the whole
     trace, cross blocks are traceless.
     """
-    mat = _analysis(rho, s, zero_tol).valid().mat
+    analysis = _analysis(rho, s)
+    analysis.valid(zero_tol)
+    mat = analysis.mat
     type_a: list[SectorBlock] = []
     type_b: list[CrossBlock] = []
     for sec, partner, flats_mq, flats_np, rows, cols in s._pt_blocks:
@@ -621,10 +633,11 @@ def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
     rho lies in one of the texture's disjoint blocks (see
     ``pt_block_decomposition``), read straight from rho: the spectrum is the
     blocks' spectra plus one 0 per row in no block, and an all-zero block
-    adds zeros without an eigensolve. Each block is solved once; the
+    adds zeros without an eigensolve. No ``zero_tol`` enters: each block is
+    solved once per state, whatever tolerances other calls pass, and the
     block-PPT rung of ``entanglement.certify`` reads its sector blocks'
-    minima from the same solves. Otherwise (entries off the texture, even
-    below ``zero_tol``) and below dim 32, rho^{T2} is built and solved
+    minima and traces from the same solves. Otherwise (entries off the
+    texture, however small) and below dim 32, rho^{T2} is built and solved
     whole. The texture is not scanned. Raises ``ValueError`` when rho^{T2}
     is not Hermitian.
     """

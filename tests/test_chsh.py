@@ -266,6 +266,26 @@ class TestOExpectations:
             assert exp.oy == pytest.approx(direct[2], abs=1e-12)
             assert exp.oz == pytest.approx(direct[3], abs=1e-12)
 
+    @pytest.mark.parametrize("d_a,d_b", [(1, 1), (1, 3), (3, 1)])
+    def test_a_party_of_dimension_one_rejected(self, d_a, d_b):
+        mat = np.eye(d_a * d_b, dtype=complex) / (d_a * d_b)
+        with pytest.raises(ValueError, match="^both parties need dimension at least 2$"):
+            o_expectations(mat, d_a, d_b)
+
+    def test_same_bits_as_the_entry_sums_of_the_identity_order(self):
+        # the sums over the unreordered matrix, spelled out: o_expectations
+        # reads the same entries through identity basis orders
+        rng = make_rng(26)
+        for _ in range(200):
+            d_a, d_b = (int(d) for d in rng.integers(2, 7, size=2))
+            mat = random_hermitian_unit_trace(rng, d_a * d_b)
+            tensor = mat.reshape(d_a, d_b, d_a, d_b)
+            diag = np.einsum("ijij->ij", tensor).real
+            oz = float((diag[0, 0] - diag[0, 1]) + (diag[1, 1] - diag[1, 0]) + np.sum(diag[2:, 0] - diag[2:, 1]))
+            cross = tensor[0, 0, 1, 1] + tensor[1, 0, 0, 1] + np.sum(tensor[2:, 0, 2:, 1].diagonal())
+            exp = o_expectations(mat, d_a, d_b)
+            assert (exp.ox, exp.oy, exp.oz) == (float(2.0 * cross.real), float(-2.0 * cross.imag), oz)
+
 
 class TestFValue:
     def test_theta_zero_reduces_to_longitudinal_part(self):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +451,53 @@ def test_public_calls_on_one_state_share_its_record(kind, tmp_path, monkeypatch)
     assert passes == []
     assert scans == [(n_live, n_live)]
     assert sorted(solves) == expected
+
+
+@pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])
+def test_changing_zero_tol_solves_no_pt_block_again(kind, tmp_path, monkeypatch):
+    # neither the PT blocks nor their spectra depend on zero_tol, so three
+    # rounds of certify at 1e-10, min_pt_eigenvalue (no tolerance) and
+    # validate_additivity at 0 on one 4|4 chain state make one eigensolve per
+    # PT block holding a nonzero entry, counted as above, and answer as a
+    # fresh state does
+    corpus = _benchmark_corpus()
+    path = tmp_path / f"{kind}.json"
+    path.write_text(corpus.document_text(getattr(corpus, kind)(730, 0, 4)))
+    s, rho = cli.load_document(str(path))
+
+    def answers(state):
+        return (
+            entanglement.certify(state, s, 1e-10),
+            structure.min_pt_eigenvalue(state, s),
+            structure.validate_additivity(state, s, 0.0),
+        )
+
+    fresh = answers(cli.load_document(str(path))[1])
+    other_s, other = cli.load_document(str(path))
+    decomposition = pt_block_decomposition(other, other_s)
+    blocks = [b.matrix for b in decomposition.type_a + decomposition.type_b]
+    expected = sorted(len(b) for b in blocks if np.count_nonzero(b))
+    solves = []
+
+    def counting_eigenvalues(h, *args, **kwargs):
+        solves.append(len(h))
+        return eigenvalues_hermitian(h, *args, **kwargs)
+
+    for module in (structure, entanglement):
+        monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
+    for _ in range(3):
+        assert answers(rho) == fresh
+    assert sorted(solves) == expected
+
+
+def test_console_script_target_is_callable():
+    # the [project.scripts] entry that `pip install` turns into `addobs-certify`
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S).group(1)
+    target = re.search(r'^addobs-certify\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert target is not None
+    module = importlib.import_module(target.group(1))
+    assert callable(getattr(module, target.group(2)))
 
 
 @pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])

@@ -274,6 +274,27 @@ def _check_scan_against_references(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.one_of(scan_cases(), live_scan_cases()))
+def test_anchor_check_and_scan_share_one_crossed_predicate(case):
+    # f_max_closed_form accepts every anchor the scan lists, and calls every
+    # other entry above tol with both pairs on the shell, listed as crossed
+    # in neither orientation, not crossed
+    s, rho, tol = case
+    if validate_additivity(rho, s, tol):
+        return
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    for anchor in find_anchor_entries(rho, s, tol):
+        f_max_closed_form(rho, anchor, s)
+    crossed = {(e.row, e.col) for e in find_crossed_entries(rho, s, tol)}
+    for row, col in np.argwhere(np.abs(mat) > tol).tolist():
+        (m, p), (n, q) = s.split_index(row), s.split_index(col)
+        if not (s.on_shell(m, p) and s.on_shell(n, q)) or (min(row, col), max(row, col)) in crossed:
+            continue
+        with pytest.raises(ValueError, match="must be a crossed entry"):
+            f_max_closed_form(rho, AnchorEntry(m, p, n, q, complex(mat[row, col])), s)
+
+
+@settings(max_examples=100, deadline=None)
 @given(anchored_states())
 def test_certificate_is_first_scalar_maximum(case):
     s, rho, tol = case
@@ -521,6 +542,35 @@ def test_threads_sharing_one_state_get_the_answers_of_fresh_states():
             got = answers(rho, tol)
             if got != expected[tol]:
                 wrong.append((tol, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_threads_sharing_one_state_scan_at_their_own_tolerance():
+    # every call at the other tolerance replaces the record's scan slot under
+    # the other threads; each call must still list the crossed entries at its own
+    mat = shell_state(np.random.default_rng(4), CHAIN3)
+    tols = (0.0, float(np.median(np.abs(mat[mat != 0]))))
+    expected = {tol: find_crossed_entries(DensityMatrix(mat), CHAIN3, tol) for tol in tols}
+    assert expected[tols[0]] != expected[tols[1]]
+    rho, wrong = DensityMatrix(mat), []
+
+    def work(offset):
+        for i in range(60):
+            tol = tols[(i + offset) % 2]
+            if find_crossed_entries(rho, CHAIN3, tol) != expected[tol]:
+                wrong.append(tol)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
