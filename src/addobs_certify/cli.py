@@ -124,66 +124,168 @@ def _finite_array(values, dtype, message: str) -> np.ndarray:
     return arr
 
 
-#: What ``json.dumps`` writes for a zero matrix entry, and the only text
-#: ``load_document`` substitutes.
-_ZERO_ENTRY = '{"re": 0.0, "im": 0.0}'
-
-
-def _parse_json(text: str, path: str):
-    """``text`` parsed with ``_entry_hook``; ``DocumentError`` if it is not JSON."""
+def _parse_json(raw: bytes, path: str):
+    """``raw`` decoded as a text-mode read decodes it (strict UTF-8, universal
+    newlines) and parsed with ``_entry_hook``; ``DocumentError`` if it is not
+    JSON."""
     try:
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text, object_hook=_entry_hook)
-    except (ValueError, RecursionError) as exc:  # malformed, an over-long integer, too deep
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, malformed, an over-long integer, too deep
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _read_json(path: str):
-    """The parsed document, and whether its zero entries were parsed as ``None``.
+#: The ``json.dumps`` separators (item, key) that ``_read_dense`` reads: the
+#: default ones and ``separators=(",", ":")``.
+_SEPARATORS = ((b", ", b": "), (b",", b":"))
+_COMMA, _OPEN, _BRACE, _END_BRACE = b",[{}"
+_NUMBERS = frozenset(_NUMBER_TYPES)
 
-    A dense document is mostly zero entries, and a dict per entry plus a hook
-    call is most of the parse. So when the text holds no ``null``, every
-    ``_ZERO_ENTRY`` is first replaced by ``null`` and a newline, which
-    ``json`` reads in C. This is exact:
 
-    * in valid JSON the literal is a whole object value: it cannot start
-      inside a string, where its second character would close the string;
-    * where the literal does start inside a string, the raw newline makes
-      the substituted text invalid;
-    * outside the matrix, ``None`` fails every check that the hook's ``0j``
-      fails, with the same message;
-    * any parse error falls back to parsing the text as it is, so error
-      messages do not change, and a text holding ``null`` is parsed as it
-      is, so a genuine ``null`` is still rejected.
+def _at(text: np.ndarray, starts: np.ndarray, pattern: bytes) -> np.ndarray:
+    """Whether ``text`` holds ``pattern`` at each position in ``starts``."""
+    span = starts[:, None] + np.arange(len(pattern))
+    return (text[span] == np.frombuffer(pattern, np.uint8)).all(1)
 
-    The one difference: ``null`` nests one level less than the literal, so
-    a text nested to within a few levels of Python's recursion limit can
-    parse after the replacement although it would not before.
+
+def _read_dense(raw: bytes):
+    """The head and the matrix of a document in ``json.dumps`` spelling, or None.
+
+    The spelling is ``{"re": x, "im": y}`` entries, ``"matrix"`` as the last
+    key, and one pair of ``_SEPARATORS``, read from the text right after the
+    first ``"matrix":``. The head is the document with the matrix value cut
+    out, parsed with ``_entry_hook``. Each all-zero row is one comparison with
+    the text of a zero row. The other rows get one numpy scan: entries from
+    the ``{``/``}`` positions, the separators between them checked, zero
+    entries found by comparison with the zero entry's text, and x and y cut
+    from each other entry. One ``json.loads`` reads those 2 * nnz numbers,
+    which are scattered into a zero matrix.
+
+    This reads what ``_parse_json`` reads, or returns None:
+
+    * the head parses only if the key belongs to the root object: a first
+      quote that closed a string would leave ``matrix"`` after that string.
+      An escaped first quote makes the key one such as ``"a \\"matrix"``;
+      then no earlier key is ``"matrix"``, and the caller finds none;
+    * the text after the key must be dim rows of dim entries, each holding
+      one ``{`` and one ``}``, then ``}`` and JSON whitespace;
+    * x runs to the first comma. ``json`` must read 2 * nnz numbers from the
+      x and y texts joined by commas; so no y holds a comma, and each x and
+      y is one JSON number, in an entry that is one object.
+
+    None means any other spelling, a row or dims that do not fit, or an entry
+    that is not a finite number pair; the caller then parses the whole text
+    with ``_parse_json``, so error messages are those of that parse.
     """
+    key = raw.find(b'"matrix":')
+    seps = next((s for s in _SEPARATORS if raw.startswith(b'"matrix"%s[' % s[1], key)), None)
+    if key < 1 or seps is None:
+        return None
+    sep, colon = seps
+    re_key, im_key = b'{"re"' + colon, sep + b'"im"' + colon
+    zero = re_key + b"0.0" + im_key + b"0.0}"
+    value, end = key + len(b'"matrix"') + len(colon), len(raw)  # the matrix's "[", the text's end
+    while raw[end - 1] in b" \t\n\r":  # JSON whitespace: not bytes.rstrip's set
+        end -= 1
+    if raw[end - 1] != _END_BRACE:
+        return None
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        head = json.loads(raw[:value].decode("utf-8") + "null}", object_hook=_entry_hook)
+    except (ValueError, RecursionError):
+        return None
+    d_a, d_b = head.get("dimA"), head.get("dimB")
+    if not (type(d_a) is int and type(d_b) is int and d_a >= 1 and d_b >= 1):
+        return None
+    dim = d_a * d_b
+    if 2 * dim * dim > end - value:  # too short for dim x dim entries
+        return None
+
+    zero_row = b"[" + sep.join([zero] * dim) + b"]"
+    spans, pos = [], value + 1  # (i, start, stop) of each row that is not all zero
+    for i in range(dim):
+        if raw.startswith(zero_row, pos):
+            pos += len(zero_row)
+        else:
+            stop = raw.find(b"]", pos) + 1
+            if not stop:
+                return None
+            spans.append((i, pos, stop))
+            pos = stop
+        after = sep if i < dim - 1 else b"]"
+        if not raw.startswith(after, pos):
+            return None
+        pos += len(after)
+    if pos != end - 1:
+        return None
+
+    buf = np.frombuffer(raw, np.uint8)
+    # each list starts empty-typed, for a matrix without a nonzero entry
+    rows, cols, numbers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, np.uint8)]
+    for i, start, stop in spans:
+        row = buf[start:stop]
+        opens, closes = np.flatnonzero(row == _BRACE), np.flatnonzero(row == _END_BRACE)
+        if not (len(opens) == len(closes) == dim and row[0] == _OPEN and opens[0] == 1
+                and closes[-1] == len(row) - 2 and (opens[1:] == closes[:-1] + len(sep) + 1).all()
+                and _at(row, closes[:-1] + 1, sep).all()):
+            return None
+        live = closes - opens != len(zero) - 1
+        live[~live] = ~_at(row, opens[~live], zero)
+        col = np.flatnonzero(live)
+        opens, closes = opens[col], closes[col]
+        commas = np.flatnonzero(row == _COMMA)
+        mid = np.append(commas, len(row))[np.searchsorted(commas, opens + len(re_key))]
+        if not ((mid + len(im_key) <= closes).all() and _at(row, opens, re_key).all()
+                and _at(row, mid, im_key).all()):
+            return None
+        # keep x and its comma, y and its "}"; each "}" becomes a comma below
+        edges = np.zeros(len(row), bool)
+        for first, last in ((opens + len(re_key), mid), (mid + len(im_key), closes)):
+            edges[first] = edges[last + 1] = True
+        rows.append(np.full(len(col), i))
+        cols.append(col)
+        numbers.append(row[np.logical_xor.accumulate(edges)])
+    rows, cols, numbers = (np.concatenate(a) for a in (rows, cols, numbers))
+    numbers[numbers == _END_BRACE] = _COMMA
+    try:
+        values = json.loads("[%s]" % numbers[:-1].tobytes().decode("utf-8"))
+        if len(values) != 2 * len(rows) or not _NUMBERS.issuperset(map(type, values)):
+            return None
+        values = np.array(values, float).view(complex)
+    except (ValueError, RecursionError, OverflowError):  # not JSON, or an integer beyond float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    mat = np.zeros((dim, dim), complex)
+    mat[rows, cols] = values
+    return head, mat
+
+
+def _read_document(path: str):
+    """The document read by ``_read_dense``, or else by ``_parse_json`` with
+    None for the matrix. The file's bytes are dropped on return, before the
+    state is built."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # invalid UTF-8
-        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
-    if "null" not in text:
-        try:
-            return _parse_json(text.replace(_ZERO_ENTRY, "null\n"), path), True
-        except DocumentError:
-            pass
-    return _parse_json(text, path), False
+    return _read_dense(raw) or (_parse_json(raw, path), None)
 
 
 def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
     """Parse and validate a state document.
 
-    One ``json`` parse turns well-formed entries into numbers and, through
-    ``_read_json``, zero entries into ``None``; only rows holding anything
-    else go through ``_parse_entry``. Raises ``DocumentError`` for parse or
-    shape problems and ``StateValidationError`` when the matrix fails the
-    density-matrix invariants.
+    The file is read once as bytes. A document in ``json.dumps`` spelling,
+    with default or compact separators, is read by ``_read_dense``, which
+    turns only its nonzero entries into Python objects; any other document
+    is parsed whole by ``_parse_json``, where ``_entry_hook`` turns
+    well-formed entries into numbers and only rows holding anything else go
+    through ``_parse_entry``. Both give the same matrix bits or the same
+    error. Raises ``DocumentError`` for parse or shape problems and
+    ``StateValidationError`` when the matrix fails the density-matrix
+    invariants.
     """
-    data, zeros_are_none = _read_json(path)
+    data, mat = _read_document(path)
 
     _require(isinstance(data, dict), "document root must be an object")
     for key in ("dimA", "dimB", "jA", "jB", "jTotal", "matrix"):
@@ -200,16 +302,15 @@ def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
     )
     _finite_array(labels, float, "eigenvalue labels must be finite")
 
-    dim = d_a * d_b
-    rows = data["matrix"]
-    _require(isinstance(rows, list) and len(rows) == dim, f"matrix must have {dim} rows")
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == dim, f"matrix row {i} must have {dim} entries")
-        if zeros_are_none:
-            row = rows[i] = [0j if e is None else e for e in row]
-        if not _VALUE_TYPES.issuperset(map(type, row)):
-            rows[i] = [e if type(e) in _VALUE_TYPES else _parse_entry(e) for e in row]
-    mat = _finite_array(rows, complex, "matrix entries must be finite")
+    if mat is None:
+        dim = d_a * d_b
+        rows = data["matrix"]
+        _require(isinstance(rows, list) and len(rows) == dim, f"matrix must have {dim} rows")
+        for i, row in enumerate(rows):
+            _require(isinstance(row, list) and len(row) == dim, f"matrix row {i} must have {dim} entries")
+            if not _VALUE_TYPES.issuperset(map(type, row)):
+                rows[i] = [e if type(e) in _VALUE_TYPES else _parse_entry(e) for e in row]
+        mat = _finite_array(rows, complex, "matrix entries must be finite")
 
     structure = AdditiveStructure(tuple(j_a), tuple(j_b), float(data["jTotal"]))
     return structure, DensityMatrix(mat)

@@ -500,25 +500,46 @@ def test_console_script_target_is_callable():
     assert callable(getattr(module, target.group(2)))
 
 
+@pytest.mark.parametrize("separators", [None, (",", ":")], ids=["default", "compact"])
 @pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])
-def test_hook_runs_once_per_entry_that_is_not_the_zero_literal(kind, tmp_path, monkeypatch):
-    # a 4|4 chain document (dim 256) is mostly the literal json.dumps writes
-    # for a zero entry; the loader parses those in C, so the object hook runs
-    # once per other entry and once on the root object, not dim x dim times
+def test_json_reads_two_numbers_per_nonzero_entry_and_no_zero_row(kind, separators, tmp_path, monkeypatch):
+    # a 4|4 chain document (dim 256) is mostly zero entries in mostly
+    # all-zero rows; json reads the head without the matrix (the hook runs on
+    # its root object alone) and the re and im of each nonzero entry, no text
+    # it reads holds a zero entry, and the numpy scan sees only the rows that
+    # hold a nonzero entry (it checks each one's separators once)
     corpus = _benchmark_corpus()
     text = corpus.document_text(getattr(corpus, kind)(730, 0, 4))
+    if separators is not None:
+        text = json.dumps(json.loads(text), separators=separators)
     path = tmp_path / f"{kind}.json"
     path.write_text(text)
-    calls = []
-    hook = cli._entry_hook
+    zero = json.dumps({"re": 0.0, "im": 0.0}, separators=separators)
+    assert 0 < text.count(zero) < 256 * 256
+    loads, hook, at = json.loads, cli._entry_hook, cli._at
+    texts, numbers, hooked, scanned = [], [], [], []
+
+    def counting_loads(s, **kwargs):
+        texts.append(s)
+        return loads(s, parse_int=lambda t: numbers.append(t) or int(t),
+                     parse_float=lambda t: numbers.append(t) or float(t), **kwargs)
 
     def counting_hook(obj):
-        calls.append(len(obj))
+        hooked.append(sorted(obj))
         return hook(obj)
 
+    def counting_at(row, starts, pattern):
+        if pattern in (b", ", b","):
+            scanned.append(len(row))
+        return at(row, starts, pattern)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
     monkeypatch.setattr(cli, "_entry_hook", counting_hook)
+    monkeypatch.setattr(cli, "_at", counting_at)
     s, rho = cli.load_document(str(path))
-    zeros = text.count('{"re": 0.0, "im": 0.0}')
-    assert 0 < zeros < s.dim * s.dim
-    assert len(calls) == s.dim * s.dim - zeros + 1
-    assert np.count_nonzero(rho.matrix) <= len(calls) - 1
+    nnz = np.count_nonzero(rho.matrix)
+    assert 256 * 256 - text.count(zero) == nnz
+    assert len(numbers) == 3 + s.d_a + s.d_b + 2 * nnz  # dimA, dimB, jTotal, the labels
+    assert hooked == [["dimA", "dimB", "jA", "jB", "jTotal", "matrix"]]
+    assert not any(zero in t for t in texts)
+    assert 0 < len(scanned) == np.count_nonzero(rho.matrix.any(axis=1)) < 256

@@ -1,12 +1,16 @@
 """The state-document loader against a per-entry reference.
 
-``cli.load_document`` parses each document in one ``json`` pass that turns
-well-formed ``{"re": x, "im": y}`` objects into numbers, after replacing
-each zero literal ``{"re": 0.0, "im": 0.0}`` by ``null`` when the text holds
-no ``null``, and only rebuilds rows holding anything else.
-``reference_load`` below is the per-entry loop it replaced; on every
-generated document both must give the same matrix bits or the same
-``DocumentError`` message, positions in invalid JSON included.
+``cli.load_document`` reads the file once as bytes. A document in the
+spelling ``json.dumps`` writes, with its default separators or with
+``separators=(",", ":")``, is read row by row from the bytes: all-zero rows
+and zero entries are recognised by comparison with their text, and only the
+re and im numbers of the other entries reach ``json``. Any other document
+is parsed whole in one ``json`` pass that turns well-formed
+``{"re": x, "im": y}`` objects into numbers, and only rows holding anything
+else are rebuilt. ``reference_load`` below is the per-entry loop both
+replaced; on every generated document, canonical or with one byte changed,
+deleted or inserted, it and the loader must give the same matrix bits or
+the same ``DocumentError`` message, positions in invalid JSON included.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ in_range_ints = st.one_of(
 )
 numbers = st.one_of(in_range_ints, st.floats(allow_nan=False, allow_infinity=True))
 
-#: What ``json.dumps`` writes for a zero entry: the text the loader substitutes.
+#: What ``json.dumps`` writes for a zero entry.
 ZERO = '{"re": 0.0, "im": 0.0}'
 assert json.dumps({"re": 0.0, "im": 0.0}) == ZERO
 
@@ -117,7 +121,7 @@ good_entries = st.one_of(
 )
 
 bad_entries = st.one_of(
-    st.none(),  # a genuine null: the text is parsed as it is
+    st.none(),
     st.booleans(),
     st.builds(lambda b, y: {"re": b, "im": y}, st.booleans(), numbers),
     st.builds(lambda x, b: {"im": b, "re": x}, numbers, st.booleans()),
@@ -247,9 +251,191 @@ def test_zero_literal_documents_match_reference(doc_path, name):
 
 def test_zero_literal_root_is_not_an_object(doc_path):
     # the per-entry reference reads a root object as a document; the hook
-    # and the substitution both make it a value that is not an object
+    # makes it a number
     doc_path.write_text(ZERO)
     assert outcome(new_load, doc_path) == ("error", "document root must be an object")
+
+
+# --- dense documents read from the bytes ---
+
+#: The separators of the two spellings read from the bytes.
+SPELLINGS = [None, (",", ":")]
+
+#: Entry parts: zeros of both signs, numbers whose entry has the zero
+#: entry's length, ints beyond 2**53, exponents, and the non-finite floats
+#: json.dumps writes as NaN and Infinity.
+parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 0, 1, 2**53 + 1, -(2**70), 10**308, 1e-300, -2.5e-05, 1e22]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+)
+
+#: Bytes a mutation puts in: structure, number and whitespace characters
+#: (JSON's and the ones ``bytes.rstrip`` also strips), a UTF-8 BOM byte and
+#: bytes that are not UTF-8 here.
+MUTATION_BYTES = b'{}[],:" \\.-+059eEnN\t\n\r\x0b\x0c\xef\xbb\xbf\x80\xe9\xff'
+
+
+def dense_text(d_a, d_b, rows, separators=None, **head) -> str:
+    doc = {"dimA": d_a, "dimB": d_b, "jA": [0] * d_a, "jB": [0.0] * d_b, "jTotal": 0, **head}
+    return json.dumps({**doc, "matrix": rows}, separators=separators)
+
+
+@st.composite
+def dense_documents(draw):
+    """A dense document as json.dumps writes it (dim up to 42, most rows
+    all zero), and whether it was left so."""
+    d_a, d_b = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    dim = d_a * d_b
+    rows = [[{"re": 0.0, "im": 0.0}] * dim for _ in range(dim)]
+    for i in draw(st.lists(st.integers(0, dim - 1), max_size=4, unique=True)):
+        for j in draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=6, unique=True)):
+            rows[i][j] = {"re": draw(parts), "im": draw(parts)}
+    data = dense_text(d_a, d_b, rows, draw(st.sampled_from(SPELLINGS))).encode()
+    if draw(st.booleans()):
+        return data, True
+    start = draw(st.sampled_from([0, data.index(b'"matrix"')]))
+    k = draw(st.integers(start, len(data)))
+    byte = bytes([draw(st.sampled_from(MUTATION_BYTES))])
+    edit = draw(st.sampled_from(["change", "delete", "insert"]))
+    if edit == "change":
+        return data[:k] + byte + data[k + 1 :], False
+    if edit == "delete":
+        return data[:k] + data[k + 1 :], False
+    return data[:k] + byte + data[k:], False
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=dense_documents())
+def test_dense_reader_matches_per_entry_reference(case, doc_path):
+    data, canonical = case
+    doc_path.write_bytes(data)
+    got = outcome(new_load, doc_path)
+    assert got == outcome(reference_load, doc_path)
+    if canonical and got[0] != "error":
+        # a finite canonical document is read from the bytes, not parsed whole
+        assert cli._read_dense(data) is not None
+
+
+def _rows(entry: str, dim: int = 2, sep: str = ", ") -> str:
+    """The text of a dim x dim matrix with ``entry`` at (0, 1), zero elsewhere."""
+    cells = [[ZERO] * dim for _ in range(dim)]
+    cells[0][1] = entry
+    return "[" + sep.join("[" + sep.join(row) + "]" for row in cells) + "]"
+
+
+def _doc(matrix: str, head: str = "", tail: str = "", d_a: int = 1, d_b: int = 2) -> str:
+    return (
+        f'{{"dimA": {d_a}, "dimB": {d_b}, "jA": [0], "jB": [0, 0], "jTotal": 0{head},'
+        f' "matrix": {matrix}{tail}}}'
+    )
+
+
+#: A nonzero entry in the dense spelling.
+ONE = '{"re": 1.0, "im": 0.0}'
+BAD_JSON = "invalid JSON in "
+
+
+def _pair(row0: str, row1: str = f"{ZERO}, {ZERO}") -> str:
+    """A 2 x 2 matrix text from the text inside its two rows."""
+    return f"[[{row0}], [{row1}]]"
+
+
+#: name -> (document text or bytes, how the loader must end: None for a
+#: loaded matrix, else the error message or its start)
+DENSE_DOCS = {
+    "zero_length_nonzero": (_doc(_rows('{"re": 0.5, "im": 0.0}')), None),
+    "zero_length_im": (_doc(_rows('{"re": 0.0, "im": 0.1}')), None),
+    "negative_zero": (_doc(_rows('{"re": -0.0, "im": 0.0}')), None),
+    "integer_zero": (_doc(_rows('{"re": 0, "im": 0}')), None),
+    "beyond_2_53": (_doc(_rows('{"re": 9007199254740993, "im": -9007199254740993}')), None),
+    "exponents": (_doc(_rows('{"re": 1E-300, "im": 2.5e+3}')), None),
+    "exponent_overflow": (_doc(_rows('{"re": 1e400, "im": 0.0}')), "matrix entries must be finite"),
+    "infinity": (_doc(_rows('{"re": Infinity, "im": 0.0}')), "matrix entries must be finite"),
+    "nan": (_doc(_rows('{"re": 0.0, "im": NaN}')), "matrix entries must be finite"),
+    "empty_re": (_doc(_rows('{"re": , "im": 0.1}')), BAD_JSON),
+    "empty_im": (_doc(_rows('{"re": 1, "im": }')), BAD_JSON),
+    "spaces_in_entry": (_doc(_rows('{"re":  1 , "im": 2 }')), None),
+    "keys_swapped": (_doc(_rows('{"im": 1.0, "re": 0.5}')), None),
+    "duplicate_re": (_doc(_rows('{"re": 1, "re": 2, "im": 3}')), None),
+    "re_alone": (_doc(_rows('{"re": 0.5}')), None),
+    "bool": (_doc(_rows('{"re": true, "im": 0.0}')), "matrix entry re/im must be numbers"),
+    "string": (_doc(_rows('{"re": "1", "im": 0.0}')), "matrix entry re/im must be numbers"),
+    "other_key": (_doc(_rows('{"re": 1, "in": 2}')), "unexpected keys in matrix entry: ['in', 're']"),
+    "other_first_key": (_doc(_rows('{"ro": 1, "im": 2}')), "unexpected keys in matrix entry: ['im', 'ro']"),
+    "comma_in_y": (
+        _doc(_rows('{"re": 1, "im": 2, "x": 3}')), "unexpected keys in matrix entry: ['im', 're', 'x']"
+    ),
+    "two_extra_numbers": (_doc(_pair('{"re": 1, "im": 2, 3}, {"re": 1, "im": 2, 3}')), BAD_JSON),
+    "entry_sep_in_string": (_doc(_pair('{"re": "}, {", "im": 0.0}')), "matrix row 0 must have 2 entries"),
+    "row_sep_in_string": (_doc(f'[[{ZERO}, {{"re": 1, "im": "}}], [{{"}}, {ZERO}]]'), "matrix must have 2 rows"),
+    "entry_sep_in_key": (
+        _doc(_pair(f'{{"re": 1, "}}, {{": 2}}, {ZERO}')), "unexpected keys in matrix entry: ['re', '}, {']"
+    ),
+    "escaped_matrix_key": (_doc(_rows("0.5"), head=', "foo \\"matrix": ' + _rows(ZERO)), None),
+    "escaped_matrix_key_after": (_doc(_rows("0.5"), tail=', "foo \\"matrix": ' + _rows(ONE)), None),
+    "escaped_matrix_key_last": (_doc(_rows(ZERO)).replace('"matrix"', '"foo \\"matrix"'), "missing key 'matrix'"),
+    "duplicate_matrix": (_doc(_rows(ONE), head=', "matrix": ' + _rows("0.5")), None),
+    "duplicate_matrix_after": (_doc(_rows(ONE), tail=', "matrix": ' + _rows("0.5")), None),
+    "matrix_not_last": (_doc(_rows(ONE), tail=', "note": 1'), None),
+    "matrix_not_last_invalid": (_doc(_rows(ONE), tail=', "note": '), BAD_JSON),
+    "matrix_in_a_string": (_doc(_rows(ONE), head=', "note": "\\"matrix\\": [[]]"'), None),
+    "nested_matrix": (f'{{"x": {_doc(_rows(ZERO))}}}', "missing key 'dimA'"),
+    "wrong_dims": (_doc(_rows(ONE), d_b=3), "jB must be a list of length dimB"),
+    "too_few_rows": (_doc(_rows(ONE), d_a=2).replace('"jA": [0]', '"jA": [0, 0]'), "matrix must have 4 rows"),
+    "extra_row": (_doc(f"[[{ZERO}, {ZERO}], [{ZERO}, {ZERO}], [{ZERO}, {ZERO}]]"), "matrix must have 2 rows"),
+    "ragged_row": (_doc(_pair(f"{ONE}, {ZERO}", ZERO)), "matrix row 1 must have 2 entries"),
+    "short_zero_row": (_doc(_pair(f"{ZERO}, {ZERO}", ZERO)), "matrix row 1 must have 2 entries"),
+    "long_zero_row": (
+        _doc(_pair(f"{ZERO}, {ZERO}", f"{ZERO}, {ZERO}, {ZERO}")), "matrix row 1 must have 2 entries"
+    ),
+    "double_comma": (_doc(_pair(f"{ONE},,{ZERO}")), BAD_JSON),
+    "row_without_bracket": (_doc(f"[ {ONE}, {ZERO}], [{ZERO}, {ZERO}]]"), BAD_JSON),
+    "plain_numbers": (_doc("[[0.5, 0], [0, 0.5]]"), None),
+    "all_zero": (_doc(_rows(ZERO)), None),
+    "compact": (_doc(_rows('{"re":0.5,"im":-1}', sep=",")).replace('"matrix": ', '"matrix":'), None),
+    "mixed_spelling": (_doc(_rows(ZERO.replace(" ", ""))), None),
+    "trailing_whitespace": (_doc(_rows(ONE)) + " \n\t\r", None),
+    "trailing_vertical_tab": (_doc(_rows(ONE)) + "\x0b", BAD_JSON),
+    "trailing_form_feed": (_doc(_rows(ONE)) + "\x0c", BAD_JSON),
+    "crlf": (_doc(_rows(ONE)).replace(', "jTotal"', ',\r\n"jTotal"') + "\r\n", None),
+    "crlf_error": (_doc(_rows(ONE)).replace(', "jTotal"', ',\r\n\r"jTotal"')[:-3], BAD_JSON),
+    "bom": ("\ufeff" + _doc(_rows(ONE)), BAD_JSON),
+    "invalid_utf8_head": (_doc(_rows(ZERO), head=', "n\xe9": 0').encode("latin-1"), BAD_JSON),
+    "invalid_utf8_matrix": (_doc(_rows('{"re": 1, "im": 2, "\xe9": 0}')).encode("latin-1"), BAD_JSON),
+    "surrogate_matrix": (
+        _doc(_rows('{"re": 1, "im": 2, "x": 0}')).encode().replace(b'"x"', b'"\xed\xa0\x80"'), BAD_JSON
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_DOCS))
+def test_dense_documents_match_reference(doc_path, name):
+    data, expected = DENSE_DOCS[name]
+    doc_path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    got = outcome(new_load, doc_path)
+    assert got == outcome(reference_load, doc_path)
+    if expected is None:
+        assert got[0] != "error"
+    else:
+        assert got[0] == "error" and got[1].startswith(expected)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (4, 4)])
+def test_both_spellings_give_the_same_matrix_bits(dims, tmp_path):
+    d_a, d_b = dims
+    dim = d_a * d_b
+    rng = np.random.default_rng(dim)
+    mat = np.zeros((dim, dim), complex)
+    mat[rng.integers(0, dim, dim), rng.integers(0, dim, dim)] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    rows = [[{"re": z.real, "im": z.imag} for z in row] for row in mat.tolist()]
+    loaded = []
+    for separators in SPELLINGS:
+        path = tmp_path / f"{separators}.json"
+        path.write_text(dense_text(d_a, d_b, rows, separators))
+        assert cli._read_dense(path.read_bytes()) is not None
+        loaded.append(new_load(path)[1].tobytes())
+    assert loaded == [mat.tobytes()] * 2
 
 
 # --- integers beyond float range ---
@@ -339,7 +525,6 @@ class TestUndecodableDocuments:
 
 DEEP_DOCS = {
     "array": "[" * 200_000 + "]" * 200_000,
-    # a null sends the text straight to the plain parse
     "array_with_null": "[" * 200_000 + "null" + "]" * 200_000,
     "object": '{"a": ' * 200_000 + ZERO + "}" * 200_000,
 }
