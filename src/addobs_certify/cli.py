@@ -138,8 +138,7 @@ def _parse_json(raw: bytes, path: str):
 #: The ``json.dumps`` separators (item, key) that ``_read_dense`` reads: the
 #: default ones and ``separators=(",", ":")``.
 _SEPARATORS = ((b", ", b": "), (b",", b":"))
-_COMMA, _OPEN, _BRACE, _END_BRACE = b",[{}"
-_NUMBERS = frozenset(_NUMBER_TYPES)
+_COMMA, _OPEN, _BRACE, _END_BRACE, _BACKSLASH = b",[{}\\"
 
 
 def _at(text: np.ndarray, starts: np.ndarray, pattern: bytes) -> np.ndarray:
@@ -163,10 +162,14 @@ def _read_dense(raw: bytes):
 
     This reads what ``_parse_json`` reads, or returns None:
 
-    * the head parses only if the key belongs to the root object: a first
-      quote that closed a string would leave ``matrix"`` after that string.
-      An escaped first quote makes the key one such as ``"a \\"matrix"``;
-      then no earlier key is ``"matrix"``, and the caller finds none;
+    * the key's first quote must not follow a backslash, so it opens or
+      closes a string. The head parses only if it opens one: a quote that
+      closed a string would leave ``matrix"`` after that string. Then the
+      head's ``null}`` ends the root object, so the key is the root's; the
+      text after the matrix is ``}``, so it is the root's last ``"matrix"``,
+      which ``json`` keeps over any earlier one spelled another way (such
+      as ``"matrix" :``). An escaped quote (a key such as
+      ``"a \\"matrix"``) proves nothing of the keys before it: None;
     * the text after the key must be dim rows of dim entries, each holding
       one ``{`` and one ``}``, then ``}`` and JSON whitespace;
     * x runs to the first comma. ``json`` must read 2 * nnz numbers from the
@@ -179,7 +182,7 @@ def _read_dense(raw: bytes):
     """
     key = raw.find(b'"matrix":')
     seps = next((s for s in _SEPARATORS if raw.startswith(b'"matrix"%s[' % s[1], key)), None)
-    if key < 1 or seps is None:
+    if key < 1 or raw[key - 1] == _BACKSLASH or seps is None:
         return None
     sep, colon = seps
     re_key, im_key = b'{"re"' + colon, sep + b'"im"' + colon
@@ -248,7 +251,7 @@ def _read_dense(raw: bytes):
     numbers[numbers == _END_BRACE] = _COMMA
     try:
         values = json.loads("[%s]" % numbers[:-1].tobytes().decode("utf-8"))
-        if len(values) != 2 * len(rows) or not _NUMBERS.issuperset(map(type, values)):
+        if len(values) != 2 * len(rows) or not _VALUE_TYPES.issuperset(map(type, values)):
             return None
         values = np.array(values, float).view(complex)
     except (ValueError, RecursionError, OverflowError):  # not JSON, or an integer beyond float range

@@ -188,26 +188,22 @@ class AdditiveStructure:
         return _groups(self._bob_of, self._bob_reps)
 
     @cached_property
-    def _flat_flags(self) -> tuple[np.ndarray, np.ndarray, bytes]:
-        """Per flat index (m, p): on the shell, and both labels alone in their
-        group; then the shell flags again as bytes, which an int call of
-        ``_crossed`` indexes without numpy scalar operations. They sit in this
-        tuple because one more cached attribute would grow the instance dict
-        of every structure."""
+    def _flat_flags(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per flat index (m, p): on the shell, and both labels alone in their group."""
         alice, bob = np.array(self._alice_of), np.array(self._bob_of)
         shell = np.array(self._bob_match)[alice][:, None] == bob
         alone = np.logical_and.outer(np.bincount(alice)[alice] == 1, np.bincount(bob)[bob] == 1)
-        return shell.ravel(), alone.ravel(), shell.tobytes()
+        return shell.ravel(), alone.ravel()
 
     def _crossed(self, rows, cols, on_shell=None):
         """Whether the entries at flat positions (rows, cols), ints or arrays,
-        are crossed: both pairs on the shell and the pair (M, Q) off it (0 or
-        1 for ints). ``on_shell``, when the caller has it, is whether both
-        pairs are on the shell."""
-        shell = self._flat_flags[2 if isinstance(rows, int) else 0]
+        are crossed: both pairs on the shell and the pair (M, Q) off it.
+        ``on_shell``, when the caller has it, is whether both pairs are on the
+        shell."""
+        shell = self._flat_flags[0]
         if on_shell is None:
             on_shell = shell[rows] & shell[cols]
-        return on_shell & (shell[rows - rows % self.d_b + cols % self.d_b] ^ True)
+        return on_shell & ~shell[rows - rows % self.d_b + cols % self.d_b]
 
     @cached_property
     def _pt_blocks(self) -> tuple[_PtBlock, ...]:
@@ -475,7 +471,7 @@ class _Analysis:
         if last is not None and last.zero_tol == zero_tol:
             return last
         s, d_b, live = self.s, self.s.d_b, self.live
-        shell, nondeg, _ = s._flat_flags
+        shell, nondeg = s._flat_flags
         sub = self.mat if live is None else self.mat[np.ix_(live, live)]
         rows, cols = np.divmod(np.flatnonzero(np.abs(sub) > zero_tol), len(sub))
         if live is not None:  # ascending, so the order of the positions stays

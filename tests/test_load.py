@@ -375,6 +375,16 @@ DENSE_DOCS = {
     "escaped_matrix_key": (_doc(_rows("0.5"), head=', "foo \\"matrix": ' + _rows(ZERO)), None),
     "escaped_matrix_key_after": (_doc(_rows("0.5"), tail=', "foo \\"matrix": ' + _rows(ONE)), None),
     "escaped_matrix_key_last": (_doc(_rows(ZERO)).replace('"matrix"', '"foo \\"matrix"'), "missing key 'matrix'"),
+    # an earlier "matrix" key in another spelling, then the escaped one last
+    "spaced_matrix_key_then_escaped": (
+        _doc(_rows(ONE)).replace(' "matrix": ', ' "matrix" : [[0.5, 0], [0, 0.5]], "foo \\"matrix": '), None
+    ),
+    "spaced_null_matrix_then_escaped": (
+        _doc(_rows(ONE)).replace(' "matrix": ', ' "matrix" : null, "foo \\"matrix": '), "matrix must have 2 rows"
+    ),
+    "unicode_matrix_key_then_escaped": (
+        _doc(_rows(ONE)).replace(' "matrix": ', ' "\\u006datrix": [[0.5, 0], [0, 0.5]], "foo \\"matrix": '), None
+    ),
     "duplicate_matrix": (_doc(_rows(ONE), head=', "matrix": ' + _rows("0.5")), None),
     "duplicate_matrix_after": (_doc(_rows(ONE), tail=', "matrix": ' + _rows("0.5")), None),
     "matrix_not_last": (_doc(_rows(ONE), tail=', "note": 1'), None),
