@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from addobs_certify import cli
 from addobs_certify.cli import DocumentError, load_document
+from addobs_certify.structure import AdditiveStructure
 
 # --- per-entry reference ---
 
@@ -45,14 +46,21 @@ def reference_entry(entry) -> complex:
             type(re) in (int, float) and type(im) in (int, float),
             "matrix entry re/im must be numbers",
         )
-        return complex(re, im)
+        try:
+            return complex(re, im)
+        except OverflowError:  # an integer beyond float range
+            raise DocumentError("matrix entries must be finite") from None
     if type(entry) in (int, float):
-        return complex(entry)
+        try:
+            return complex(entry)
+        except OverflowError:  # found by the finiteness check after the rows
+            return complex(math.inf)
     raise DocumentError(f"matrix entries must be numbers or re/im objects, got {type(entry).__name__}")
 
 
 def reference_load(path):
-    """Labels and matrix as the per-entry loop read them (no density-matrix checks)."""
+    """Labels (through ``AdditiveStructure``) and matrix as the per-entry loop
+    read them (no density-matrix checks)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -78,7 +86,8 @@ def reference_load(path):
         for j, entry in enumerate(row):
             mat[i, j] = reference_entry(entry)
     _require(bool(np.isfinite(mat).all()), "matrix entries must be finite")
-    return (tuple(j_a), tuple(j_b), float(data["jTotal"])), mat
+    s = AdditiveStructure(tuple(j_a), tuple(j_b), float(data["jTotal"]))
+    return (s.j_alice, s.j_bob, s.j_total), mat
 
 
 def new_load(path):
@@ -93,6 +102,8 @@ def outcome(load, arg):
         labels, mat = load(arg)
     except DocumentError as exc:
         return "error", str(exc)
+    except ValueError as exc:  # labels AdditiveStructure rejects
+        return "labels", str(exc)
     return labels, mat.dtype, mat.shape, mat.tobytes()
 
 
