@@ -16,7 +16,14 @@ closed-form maximum over the angles:
 
 strictly above the classical bound 2 whenever the anchor entry is nonzero.
 A grid maximizer over the raw trace expression serves as an independent
-numerical cross-check of the closed form.
+numerical cross-check of the closed form. It contracts the state with
+Alice's two settings into two Bob operators W1, W2 and scores each angle
+pair as Tr(W B) with B = b.sigma (+) 1: each W's 2x2 Bob corner contracted
+with b.sigma plus its tail trace. Those corners and traces are read from
+rho through the basis orders, so no reordered copy is made, and the grid
+costs O(n_theta * n_phi) whatever Bob's dimension. It shares none of the
+closed form's expectations and assumes no texture, so a slip in either
+shows as a gap between the two.
 """
 
 from __future__ import annotations
@@ -359,84 +366,67 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     )
 
 
-def _alice_contractions(rho_r: np.ndarray, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partial traces against the two fixed Alice observables.
+def _alice_contractions(mat: np.ndarray, reorder: BasisReordering) -> tuple[np.ndarray, np.ndarray]:
+    """Bob corners and tail traces of W1 + W2 and W1 - W2, read from rho.
 
-    Returns (W1 + W2, W1 - W2) with W_i[j, l] = sum_{ik} rho[(ij),(kl)] A_i[k, i],
-    so that Tr(rho * (A_i (x) B)) = sum_{jl} W_i[j, l] * B[l, j] for any B.
+    W_i[j, l] = sum_{ik} rho[(ij),(kl)] A_i[k, i] in the reordered basis, so
+    that Tr(rho * (A_i (x) B)) = sum_{jl} W_i[j, l] * B[l, j] for any B. With
+    A1 = sigma_z (+) 1, W1 sums Alice's diagonal blocks, the n0 one negated;
+    with A2 = sigma_x (+) 1, W2 sums the (m0, n0) and (n0, m0) blocks and the
+    diagonal blocks of Alice's rest. Of each block only Bob's (p0, q0) corner
+    and the diagonal of his tail are read, through the basis orders. Returns
+    the (2, 2, 2) corners and the two tail traces.
     """
-    a1 = _corner_block(PAULI_Z, d_a, tail=1.0)
-    a2 = _corner_block(PAULI_X, d_a, tail=1.0)
-    tensor = rho_r.reshape(d_a, d_b, d_a, d_b)
-    w1 = np.einsum("ijkl,ki->jl", tensor, a1)
-    w2 = np.einsum("ijkl,ki->jl", tensor, a2)
-    return w1 + w2, w1 - w2
+    (m0, n0, *rest), (p0, q0, *tail) = reorder.alice_order, reorder.bob_order
+    # Alice pairs (i, k) of the blocks rho[(i .), (k .)] as row offsets, and their weights in W1, W2
+    i, k = np.array([(m0, m0), (n0, n0), (m0, n0), (n0, m0), *zip(rest, rest)]).T * reorder.d_b
+    ones = [1.0] * len(rest)
+    w1, w2 = np.array([1.0, -1.0, 0.0, 0.0, *ones]), np.array([0.0, 0.0, 1.0, 1.0, *ones])
+    corner, tail = np.array([p0, q0]), np.array(tail, dtype=int)
+    corners = mat[i[:, None, None] + corner[:, None], k[:, None, None] + corner]
+    tails = mat[i[:, None] + tail, k[:, None] + tail].sum(axis=1)
+    weights = np.stack([w1 + w2, w1 - w2])
+    return np.tensordot(weights, corners, 1), weights @ tails
 
 
-def _bob_settings(thetas: np.ndarray, phis: np.ndarray, d_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked B1 and B2 matrices for paired angle arrays."""
-    n = thetas.shape[0]
-    st, ct = np.sin(thetas), np.cos(thetas)
-    off = st * np.exp(-1j * phis)  # upper-right entry of b.sigma
-    b1 = np.zeros((n, d_b, d_b), dtype=complex)
-    tail = np.arange(2, d_b)
-    b1[:, tail, tail] = 1.0
-    b2 = b1.copy()
-    b1[:, 0, 0] = ct
-    b1[:, 1, 1] = -ct
-    b1[:, 0, 1] = off
-    b1[:, 1, 0] = off.conj()
-    b2[:, 0, 0] = ct
-    b2[:, 1, 1] = -ct
-    b2[:, 0, 1] = -off
-    b2[:, 1, 0] = -off.conj()
-    return b1, b2
+def _f_points(corners: np.ndarray, tails: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """CHSH scores Tr(W_sum B1) + Tr(W_diff B2) at paired (theta, phi) points.
 
-
-def _f_points(
-    w_sum: np.ndarray,
-    w_diff: np.ndarray,
-    d_b: int,
-    thetas: np.ndarray,
-    phis: np.ndarray,
-) -> np.ndarray:
-    """CHSH scores at paired (theta, phi) points via the precontracted state."""
-    b1, b2 = _bob_settings(thetas, phis, d_b)
-    vals = np.einsum("jl,glj->g", w_sum, b1) + np.einsum("jl,glj->g", w_diff, b2)
-    return vals.real
+    B = b.sigma (+) 1, so Tr(W B) is W's Bob corner contracted with b.sigma
+    plus W's tail trace.
+    """
+    ct = np.cos(thetas)
+    up = np.sin(thetas) * np.exp(-1j * phis)  # b1.sigma[0, 1]; b2.sigma negates the off-diagonal
+    (s, d), low = corners, up.conj()
+    t_sum = s[0, 0] * ct + s[0, 1] * low + s[1, 0] * up - s[1, 1] * ct + tails[0]
+    t_diff = d[0, 0] * ct - d[0, 1] * low - d[1, 0] * up - d[1, 1] * ct + tails[1]
+    return (t_sum + t_diff).real
 
 
 def _grid_max(
-    w_sum: np.ndarray,
-    w_diff: np.ndarray,
-    d_b: int,
+    corners: np.ndarray,
+    tails: np.ndarray,
     thetas: np.ndarray,
     phis: np.ndarray,
     chunk: int = 1 << 16,
 ) -> tuple[float, float, float]:
     """Best score on the theta x phi grid, phi fastest; ties keep the first point.
 
-    Points are scored in chunks of whole theta rows, or of part of a row when
-    one row alone is too long. A chunk stacks two (points, d_b, d_b) setting
-    arrays, so it holds at most ``chunk`` points and at most ``chunk * 64``
-    setting entries (``chunk`` points up to d_b = 8, fewer above).
+    Points are scored ``chunk`` flat points at a time, each from the two
+    corners and tail traces alone: the cost is O(n_theta * n_phi) whatever
+    d_b is, and a chunk holds a few arrays of ``chunk`` numbers.
     """
     best = -math.inf
     best_t = best_p = 0.0
     n_phi = phis.shape[0]
     total = thetas.shape[0] * n_phi
-    points = max(1, min(chunk, chunk * 64 // (d_b * d_b)))
-    step = (points // n_phi) * n_phi if n_phi <= points else points
-    for start in range(0, total, step):
-        flat = np.arange(start, min(start + step, total))
-        th_flat = thetas[flat // n_phi]
-        ph_flat = phis[flat % n_phi]
-        vals = _f_points(w_sum, w_diff, d_b, th_flat, ph_flat)
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
+        th_flat, ph_flat = thetas[flat // n_phi], phis[flat % n_phi]
+        vals = _f_points(corners, tails, th_flat, ph_flat)
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best = float(vals[k])
-            best_t = float(th_flat[k])
-            best_p = float(ph_flat[k])
+            best, best_t, best_p = float(vals[k]), float(th_flat[k]), float(ph_flat[k])
     return best, best_t, best_p
 
 
@@ -452,27 +442,31 @@ def grid_verify(
 
     Evaluates the raw trace expression on a uniform n_theta x n_phi grid
     over theta in [0, pi], phi in [-pi, pi], then zooms into the best cell
-    ``refine_levels`` times (10x finer per level). Independent of the
-    closed form: never exceeds it, and converges to it as the grid refines.
+    ``refine_levels`` times (10x finer per level). Each point is scored from
+    Bob's 2x2 corner and tail trace of the two Alice contractions, which are
+    read from rho through the anchor's basis orders; no reordered copy is
+    made, and the grid costs O(n_theta * n_phi) whatever d_b is. Independent
+    of the closed form (it reads none of its expectations and assumes no
+    texture), so it checks it: it never exceeds it, and converges to it as
+    the grid refines.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least a 2x2 grid")
     mat = _matrix_of(rho)
     _check_dims(mat, s)
     _validate_anchor(anchor, s)
-    rho_r = reorder_basis(anchor, s).apply(mat)
-    w_sum, w_diff = _alice_contractions(rho_r, s.d_a, s.d_b)
+    corners, tails = _alice_contractions(mat, reorder_basis(anchor, s))
 
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(-math.pi, math.pi, n_phi)
-    best, best_t, best_p = _grid_max(w_sum, w_diff, s.d_b, thetas, phis)
+    best, best_t, best_p = _grid_max(corners, tails, thetas, phis)
 
     d_theta = math.pi / (n_theta - 1)
     d_phi = 2.0 * math.pi / (n_phi - 1)
     for _ in range(refine_levels):
         thetas = np.linspace(max(0.0, best_t - d_theta), min(math.pi, best_t + d_theta), 21)
         phis = np.linspace(best_p - d_phi, best_p + d_phi, 21)
-        cand, cand_t, cand_p = _grid_max(w_sum, w_diff, s.d_b, thetas, phis)
+        cand, cand_t, cand_p = _grid_max(corners, tails, thetas, phis)
         if cand > best:
             best, best_t, best_p = cand, cand_t, cand_p
         d_theta /= 10.0

@@ -150,15 +150,18 @@ def _at(text: np.ndarray, starts: np.ndarray, pattern: bytes) -> np.ndarray:
 def _read_dense(raw: bytes):
     """The head and the matrix of a document in ``json.dumps`` spelling, or None.
 
-    The spelling is ``{"re": x, "im": y}`` entries, ``"matrix"`` as the last
-    key, and one pair of ``_SEPARATORS``, read from the text right after the
-    first ``"matrix":``. The head is the document with the matrix value cut
-    out, parsed with ``_entry_hook``. Each all-zero row is one comparison with
-    the text of a zero row. The other rows get one numpy scan: entries from
-    the ``{``/``}`` positions, the separators between them checked, zero
-    entries found by comparison with the zero entry's text, and x and y cut
-    from each other entry. One ``json.loads`` reads those 2 * nnz numbers,
-    which are scattered into a zero matrix.
+    The spelling is ``{"re": x, "im": y}`` entries, or ``{"im": y, "re": x}``
+    ones as ``json.dumps(..., sort_keys=True)`` writes them, ``"matrix"`` as
+    the last key, and one pair of ``_SEPARATORS``. The separators are read
+    from the text right after the first ``"matrix":``, the key order from the
+    first entry's text; an entry in the other order gives None. The head is
+    the document with the matrix value cut out, parsed with ``_entry_hook``.
+    Each all-zero row is one comparison with the text of a zero row. The
+    other rows get one numpy scan: entries from the ``{``/``}`` positions,
+    the separators between them checked, zero entries found by comparison
+    with the zero entry's text, and the first and second number, u and v,
+    cut from each other entry. One ``json.loads`` reads those 2 * nnz
+    numbers, which are put in (x, y) order and scattered into a zero matrix.
 
     This reads what ``_parse_json`` reads, or returns None:
 
@@ -172,9 +175,9 @@ def _read_dense(raw: bytes):
       ``"a \\"matrix"``) proves nothing of the keys before it: None;
     * the text after the key must be dim rows of dim entries, each holding
       one ``{`` and one ``}``, then ``}`` and JSON whitespace;
-    * x runs to the first comma. ``json`` must read 2 * nnz numbers from the
-      x and y texts joined by commas; so no y holds a comma, and each x and
-      y is one JSON number, in an entry that is one object.
+    * u runs to the first comma. ``json`` must read 2 * nnz numbers from the
+      u and v texts joined by commas; so no v holds a comma, and each u and
+      v is one JSON number, in an entry that is one object.
 
     None means any other spelling, a row or dims that do not fit, or an entry
     that is not a finite number pair; the caller then parses the whole text
@@ -185,9 +188,11 @@ def _read_dense(raw: bytes):
     if key < 1 or raw[key - 1] == _BACKSLASH or seps is None:
         return None
     sep, colon = seps
-    re_key, im_key = b'{"re"' + colon, sep + b'"im"' + colon
-    zero = re_key + b"0.0" + im_key + b"0.0}"
     value, end = key + len(b'"matrix"') + len(colon), len(raw)  # the matrix's "[", the text's end
+    swapped = raw.startswith(b'[{"im"', value + 1)  # the first entry's key order
+    names = (b'"im"', b'"re"') if swapped else (b'"re"', b'"im"')
+    first_key, second_key = b"{" + names[0] + colon, sep + names[1] + colon
+    zero = first_key + b"0.0" + second_key + b"0.0}"
     while raw[end - 1] in b" \t\n\r":  # JSON whitespace: not bytes.rstrip's set
         end -= 1
     if raw[end - 1] != _END_BRACE:
@@ -236,13 +241,13 @@ def _read_dense(raw: bytes):
         col = np.flatnonzero(live)
         opens, closes = opens[col], closes[col]
         commas = np.flatnonzero(row == _COMMA)
-        mid = np.append(commas, len(row))[np.searchsorted(commas, opens + len(re_key))]
-        if not ((mid + len(im_key) <= closes).all() and _at(row, opens, re_key).all()
-                and _at(row, mid, im_key).all()):
+        mid = np.append(commas, len(row))[np.searchsorted(commas, opens + len(first_key))]
+        if not ((mid + len(second_key) <= closes).all() and _at(row, opens, first_key).all()
+                and _at(row, mid, second_key).all()):
             return None
-        # keep x and its comma, y and its "}"; each "}" becomes a comma below
+        # keep u and its comma, v and its "}"; each "}" becomes a comma below
         edges = np.zeros(len(row), bool)
-        for first, last in ((opens + len(re_key), mid), (mid + len(im_key), closes)):
+        for first, last in ((opens + len(first_key), mid), (mid + len(second_key), closes)):
             edges[first] = edges[last + 1] = True
         rows.append(np.full(len(col), i))
         cols.append(col)
@@ -253,6 +258,8 @@ def _read_dense(raw: bytes):
         values = json.loads("[%s]" % numbers[:-1].tobytes().decode("utf-8"))
         if len(values) != 2 * len(rows) or not _VALUE_TYPES.issuperset(map(type, values)):
             return None
+        if swapped:
+            values[::2], values[1::2] = values[1::2], values[::2]
         values = np.array(values, float).view(complex)
     except (ValueError, RecursionError, OverflowError):  # not JSON, or an integer beyond float range
         return None
@@ -279,14 +286,14 @@ def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
     """Parse and validate a state document.
 
     The file is read once as bytes. A document in ``json.dumps`` spelling,
-    with default or compact separators, is read by ``_read_dense``, which
-    turns only its nonzero entries into Python objects; any other document
-    is parsed whole by ``_parse_json``, where ``_entry_hook`` turns
-    well-formed entries into numbers and only rows holding anything else go
-    through ``_parse_entry``. Both give the same matrix bits or the same
-    error. Raises ``DocumentError`` for parse or shape problems and
-    ``StateValidationError`` when the matrix fails the density-matrix
-    invariants.
+    with default or compact separators and either key order of the entries,
+    is read by ``_read_dense``, which turns only its nonzero entries into
+    Python objects; any other document is parsed whole by ``_parse_json``,
+    where ``_entry_hook`` turns well-formed entries into numbers and only
+    rows holding anything else go through ``_parse_entry``. Both give the
+    same matrix bits or the same error. Raises ``DocumentError`` for parse
+    or shape problems and ``StateValidationError`` when the matrix fails the
+    density-matrix invariants.
     """
     data, mat = _read_document(path)
 

@@ -110,11 +110,15 @@ def random_crossed_system(
 
 
 def random_anchored_system(
-    rng: np.random.Generator, max_tries: int = 200
+    rng: np.random.Generator,
+    max_tries: int = 200,
+    d_a: int | None = None,
+    d_b: int | None = None,
 ) -> tuple[AdditiveStructure, DensityMatrix, list[chsh.AnchorEntry]]:
-    """A random system guaranteed to carry at least one anchor entry."""
+    """A random system guaranteed to carry at least one anchor entry, with
+    the party dimensions given (random where None)."""
     for _ in range(max_tries):
-        s = random_structure(rng)
+        s = random_structure(rng, d_a, d_b)
         if not _shell_has_anchor_positions(s):
             continue
         rho = random_shell_state(rng, s)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import tracemalloc
 
@@ -29,7 +28,14 @@ from addobs_certify.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron
 from addobs_certify.higgs_zz import HiggsZZParams, params_from_measured, rho_from_params
 from addobs_certify.structure import AdditiveStructure, DensityMatrix
 
-from helpers import bell_system, make_rng, random_anchored_system, random_shell_state, o_operators_blockwise
+from helpers import (
+    bell_system,
+    chain_structure,
+    make_rng,
+    o_operators_blockwise,
+    random_anchored_system,
+    random_shell_state,
+)
 
 
 def diagonal_higgs() -> tuple[DensityMatrix, AdditiveStructure]:
@@ -444,16 +450,29 @@ class TestFMaxClosedForm:
 
 class TestGridVerify:
     def test_internal_evaluator_matches_f_value(self):
+        # random dims, d_a = 2 (Alice has no rest), d_b = 2 (Bob has no
+        # tail), a Hermitian matrix off the texture (the oracle assumes
+        # none), and the 5|5 chain (d_b = 32), whose f_value is slow
         rng = make_rng(34)
-        s, rho, anchors = random_anchored_system(rng)
-        rho_r = reorder_basis(anchors[0], s).apply(rho)
-        w_sum, w_diff = _alice_contractions(rho_r, s.d_a, s.d_b)
-        thetas = rng.uniform(0, math.pi, size=40)
-        phis = rng.uniform(-math.pi, math.pi, size=40)
-        batched = _f_points(w_sum, w_diff, s.d_b, thetas, phis)
-        for k in range(40):
-            obs = build_observables(thetas[k], phis[k], s.d_a, s.d_b)
-            assert batched[k] == pytest.approx(f_value(rho_r, obs), abs=1e-12)
+        systems = []
+        for d_a, d_b in ((None, None), (2, 5), (4, 2)):
+            s, rho, anchors = random_anchored_system(rng, d_a=d_a, d_b=d_b)
+            systems.append((s, rho.matrix, anchors[0], 40))
+        s, _, anchors = random_anchored_system(rng)
+        systems.append((s, random_hermitian_unit_trace(rng, s.dim), anchors[0], 40))
+        chain = chain_structure(5)
+        rho = random_shell_state(rng, chain, rank=4)
+        systems.append((chain, rho.matrix, find_anchor_entries(rho, chain)[0], 3))
+        for s, mat, anchor, points in systems:
+            reorder = reorder_basis(anchor, s)
+            rho_r = reorder.apply(mat)
+            corners, tails = _alice_contractions(mat, reorder)
+            thetas = rng.uniform(0, math.pi, size=points)
+            phis = rng.uniform(-math.pi, math.pi, size=points)
+            batched = _f_points(corners, tails, thetas, phis)
+            for k in range(points):
+                obs = build_observables(thetas[k], phis[k], s.d_a, s.d_b)
+                assert batched[k] == pytest.approx(f_value(rho_r, obs), abs=1e-12)
 
     def test_bell_dense_grid(self):
         s, rho = bell_system()
@@ -496,31 +515,36 @@ class TestGridVerify:
     def test_chunks_within_a_row_give_the_same_maximum(self):
         rng = make_rng(37)
         s, rho, anchors = random_anchored_system(rng)
-        rho_r = reorder_basis(anchors[0], s).apply(rho)
-        w_sum, w_diff = _alice_contractions(rho_r, s.d_a, s.d_b)
+        corners, tails = _alice_contractions(rho.matrix, reorder_basis(anchors[0], s))
         thetas = np.linspace(0.0, math.pi, 9)
         phis = np.linspace(-math.pi, math.pi, 13)
-        whole = _grid_max(w_sum, w_diff, s.d_b, thetas, phis)
+        whole = _grid_max(corners, tails, thetas, phis)
         for chunk in (1, 5, 13, 40):
-            assert _grid_max(w_sum, w_diff, s.d_b, thetas, phis, chunk=chunk) == whole
+            assert _grid_max(corners, tails, thetas, phis, chunk=chunk) == whole
+
+    def test_ties_keep_the_first_point(self):
+        # a state with only a Bob-tail trace scores the same at every point
+        corners, tails = np.zeros((2, 2, 2), complex), np.array([0.5, 0.25 + 0j])
+        thetas = np.linspace(0.0, math.pi, 9)
+        phis = np.linspace(-math.pi, math.pi, 13)
+        for chunk in (1, 5, 13, 40, 1 << 16):
+            assert _grid_max(corners, tails, thetas, phis, chunk=chunk) == (0.75, 0.0, -math.pi)
 
     def test_chain_grid_memory_is_capped(self):
-        # spin-1/2 chain 5|5 at J = 0 (d_b = 32): a chunk stacks two setting
-        # arrays of at most 2**22 entries (128 MiB together) next to the
-        # 16 MiB reordered state; 8,192 points in one chunk took 256 MiB
-        labels = tuple(
-            float(sum(0.5 - b for b in bits)) for bits in itertools.product((0, 1), repeat=5)
-        )
-        s = AdditiveStructure(labels, labels, 0.0)
+        # spin-1/2 chain 5|5 at J = 0 (d_b = 32), default 1024 x 2048 grid:
+        # each point is scored from two 2x2 corners and two tail traces, so
+        # the peak is a chunk's few arrays of 65,536 numbers (about 8 MiB),
+        # whatever d_b is; no copy of the 16 MiB state is made
+        s = chain_structure(5)
         rho = random_shell_state(make_rng(38), s, rank=4)
         anchor = find_anchor_entries(rho, s)[0]
         tracemalloc.start()
         try:
-            grid_verify(rho, anchor, s, 64, 128)
+            grid_verify(rho, anchor, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 192 * 2**20
+        assert peak < 32 * 2**20
 
     def test_grid_shape_validation(self):
         s, rho = bell_system()

@@ -75,6 +75,14 @@ def test_golden_min_pt_eigenvalue_matches_dense_solve(doc, stem):
     assert abs(report["minPtEigenvalue"] - np.linalg.eigvalsh(pt)[0]) <= 1e-15
 
 
+def test_golden_grid_check_stays_below_the_closed_form():
+    # the grid oracle scores points of the angle family the closed form
+    # maximizes, so it never exceeds fMax; refined three times from 64 x 128
+    # it lands within 1e-10 of it
+    cert = json.loads((DATA / "golden" / "chain3_full-grid.certify.json").read_text())["chshCertificate"]
+    assert 0.0 <= cert["fMax"] - cert["gridCheck"]["fGrid"] <= 1e-10
+
+
 def test_golden_ppt_block_witnesses_match_the_unit_trace_block():
     # a ppt_block witness is lambda_min(B) / Tr B of its sector block B; it
     # must agree with the eigensolve of B / Tr B, read from the dense partial

@@ -2,15 +2,17 @@
 
 ``cli.load_document`` reads the file once as bytes. A document in the
 spelling ``json.dumps`` writes, with its default separators or with
-``separators=(",", ":")``, is read row by row from the bytes: all-zero rows
-and zero entries are recognised by comparison with their text, and only the
-re and im numbers of the other entries reach ``json``. Any other document
-is parsed whole in one ``json`` pass that turns well-formed
-``{"re": x, "im": y}`` objects into numbers, and only rows holding anything
-else are rebuilt. ``reference_load`` below is the per-entry loop both
-replaced; on every generated document, canonical or with one byte changed,
-deleted or inserted, it and the loader must give the same matrix bits or
-the same ``DocumentError`` message, positions in invalid JSON included.
+``separators=(",", ":")`` and with or without ``sort_keys=True`` (which puts
+``"im"`` before ``"re"`` in every entry), is read row by row from the bytes:
+all-zero rows and zero entries are recognised by comparison with their
+text, and only the re and im numbers of the other entries reach ``json``.
+Any other document, mixed key orders included, is parsed whole in one
+``json`` pass that turns well-formed ``{"re": x, "im": y}`` objects into
+numbers, and only rows holding anything else are rebuilt.
+``reference_load`` below is the per-entry loop both replaced; on every
+generated document, canonical or with one byte changed, deleted or
+inserted, it and the loader must give the same matrix bits or the same
+``DocumentError`` message, positions in invalid JSON included.
 """
 
 from __future__ import annotations
@@ -287,50 +289,65 @@ parts = st.one_of(
 MUTATION_BYTES = b'{}[],:" \\.-+059eEnN\t\n\r\x0b\x0c\xef\xbb\xbf\x80\xe9\xff'
 
 
-def dense_text(d_a, d_b, rows, separators=None, **head) -> str:
+def dense_text(d_a, d_b, rows, separators=None, sort_keys=False, **head) -> str:
     doc = {"dimA": d_a, "dimB": d_b, "jA": [0] * d_a, "jB": [0.0] * d_b, "jTotal": 0, **head}
-    return json.dumps({**doc, "matrix": rows}, separators=separators)
+    return json.dumps({**doc, "matrix": rows}, separators=separators, sort_keys=sort_keys)
+
+
+def _entry(x, y, im_first: bool) -> dict:
+    return {"im": y, "re": x} if im_first else {"re": x, "im": y}
 
 
 @st.composite
 def dense_documents(draw):
     """A dense document as json.dumps writes it (dim up to 42, most rows
-    all zero), and whether it was left so."""
+    all zero), and how it must be read: "bytes" when it was left so, "whole"
+    when it was left so but mixes the two key orders of the entries, None
+    when a byte was changed."""
     d_a, d_b = draw(st.integers(1, 6)), draw(st.integers(1, 7))
     dim = d_a * d_b
+    order = draw(st.sampled_from(["default", "sort_keys", "mixed"]))
     rows = [[{"re": 0.0, "im": 0.0}] * dim for _ in range(dim)]
+    im_first = st.booleans() if order == "mixed" else st.just(False)
     for i in draw(st.lists(st.integers(0, dim - 1), max_size=4, unique=True)):
         for j in draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=6, unique=True)):
-            rows[i][j] = {"re": draw(parts), "im": draw(parts)}
-    data = dense_text(d_a, d_b, rows, draw(st.sampled_from(SPELLINGS))).encode()
+            rows[i][j] = _entry(draw(parts), draw(parts), draw(im_first))
+    if order == "mixed":  # zero entries in the other order too, the first one included
+        for i, j in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=3)):
+            rows[i][j] = _entry(0.0, 0.0, draw(st.booleans()))
+    data = dense_text(d_a, d_b, rows, draw(st.sampled_from(SPELLINGS)), order == "sort_keys").encode()
     if draw(st.booleans()):
-        return data, True
+        mixed = b'{"re"' in data and b'{"im"' in data
+        return data, "whole" if mixed else "bytes"
     start = draw(st.sampled_from([0, data.index(b'"matrix"')]))
     k = draw(st.integers(start, len(data)))
     byte = bytes([draw(st.sampled_from(MUTATION_BYTES))])
     edit = draw(st.sampled_from(["change", "delete", "insert"]))
     if edit == "change":
-        return data[:k] + byte + data[k + 1 :], False
+        return data[:k] + byte + data[k + 1 :], None
     if edit == "delete":
-        return data[:k] + data[k + 1 :], False
-    return data[:k] + byte + data[k:], False
+        return data[:k] + data[k + 1 :], None
+    return data[:k] + byte + data[k:], None
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=dense_documents())
 def test_dense_reader_matches_per_entry_reference(case, doc_path):
-    data, canonical = case
+    data, read = case
     doc_path.write_bytes(data)
     got = outcome(new_load, doc_path)
     assert got == outcome(reference_load, doc_path)
-    if canonical and got[0] != "error":
+    if read == "bytes" and got[0] != "error":
         # a finite canonical document is read from the bytes, not parsed whole
         assert cli._read_dense(data) is not None
+    if read == "whole":
+        # an entry in the other key order than the first entry's
+        assert cli._read_dense(data) is None
 
 
-def _rows(entry: str, dim: int = 2, sep: str = ", ") -> str:
-    """The text of a dim x dim matrix with ``entry`` at (0, 1), zero elsewhere."""
-    cells = [[ZERO] * dim for _ in range(dim)]
+def _rows(entry: str, dim: int = 2, sep: str = ", ", zero: str = ZERO) -> str:
+    """The text of a dim x dim matrix with ``entry`` at (0, 1), ``zero`` elsewhere."""
+    cells = [[zero] * dim for _ in range(dim)]
     cells[0][1] = entry
     return "[" + sep.join("[" + sep.join(row) + "]" for row in cells) + "]"
 
@@ -344,6 +361,8 @@ def _doc(matrix: str, head: str = "", tail: str = "", d_a: int = 1, d_b: int = 2
 
 #: A nonzero entry in the dense spelling.
 ONE = '{"re": 1.0, "im": 0.0}'
+#: The zero entry as ``json.dumps(..., sort_keys=True)`` writes it.
+ZERO_SORTED = '{"im": 0.0, "re": 0.0}'
 BAD_JSON = "invalid JSON in "
 
 
@@ -368,6 +387,20 @@ DENSE_DOCS = {
     "empty_im": (_doc(_rows('{"re": 1, "im": }')), BAD_JSON),
     "spaces_in_entry": (_doc(_rows('{"re":  1 , "im": 2 }')), None),
     "keys_swapped": (_doc(_rows('{"im": 1.0, "re": 0.5}')), None),
+    "sort_keys": (_doc(_rows('{"im": 1.0, "re": 0.5}', zero=ZERO_SORTED)), None),
+    "sort_keys_compact": (
+        _doc(_rows('{"im":1.0,"re":-0.5}', sep=",", zero=ZERO_SORTED.replace(" ", ""))).replace(
+            '"matrix": ', '"matrix":'
+        ),
+        None,
+    ),
+    "sort_keys_one_default_entry": (_doc(_rows(ONE, zero=ZERO_SORTED)), None),
+    "sort_keys_default_zero_entry": (_doc(_pair(f"{ZERO_SORTED}, {ZERO}")), None),
+    "sort_keys_duplicate_im": (_doc(_rows('{"im": 1, "im": 2, "re": 3}', zero=ZERO_SORTED)), None),
+    "sort_keys_other_key": (
+        _doc(_rows('{"im": 1, "ro": 2}', zero=ZERO_SORTED)), "unexpected keys in matrix entry: ['im', 'ro']"
+    ),
+    "sort_keys_nan": (_doc(_rows('{"im": NaN, "re": 0.0}', zero=ZERO_SORTED)), "matrix entries must be finite"),
     "duplicate_re": (_doc(_rows('{"re": 1, "re": 2, "im": 3}')), None),
     "re_alone": (_doc(_rows('{"re": 0.5}')), None),
     "bool": (_doc(_rows('{"re": true, "im": 0.0}')), "matrix entry re/im must be numbers"),
@@ -442,14 +475,19 @@ def test_dense_documents_match_reference(doc_path, name):
         assert got[0] == "error" and got[1].startswith(expected)
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (4, 4)])
-def test_both_spellings_give_the_same_matrix_bits(dims, tmp_path):
-    d_a, d_b = dims
+def _random_rows(d_a: int, d_b: int) -> tuple[np.ndarray, list]:
+    """A sparse random complex matrix and its rows as re/im objects."""
     dim = d_a * d_b
     rng = np.random.default_rng(dim)
     mat = np.zeros((dim, dim), complex)
     mat[rng.integers(0, dim, dim), rng.integers(0, dim, dim)] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    rows = [[{"re": z.real, "im": z.imag} for z in row] for row in mat.tolist()]
+    return mat, [[{"re": z.real, "im": z.imag} for z in row] for row in mat.tolist()]
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (4, 4)])
+def test_both_spellings_give_the_same_matrix_bits(dims, tmp_path):
+    d_a, d_b = dims
+    mat, rows = _random_rows(d_a, d_b)
     loaded = []
     for separators in SPELLINGS:
         path = tmp_path / f"{separators}.json"
@@ -457,6 +495,27 @@ def test_both_spellings_give_the_same_matrix_bits(dims, tmp_path):
         assert cli._read_dense(path.read_bytes()) is not None
         loaded.append(new_load(path)[1].tobytes())
     assert loaded == [mat.tobytes()] * 2
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3), (4, 4)])
+def test_both_key_orders_give_the_same_matrix_bits(dims, tmp_path):
+    d_a, d_b = dims
+    mat, rows = _random_rows(d_a, d_b)
+    loaded = []
+    for separators in SPELLINGS:
+        for sort_keys in (False, True):
+            path = tmp_path / f"{separators}-{sort_keys}.json"
+            path.write_text(dense_text(d_a, d_b, rows, separators, sort_keys))
+            assert cli._read_dense(path.read_bytes()) is not None
+            loaded.append(new_load(path)[1].tobytes())
+    # the last entry in the other key order: the whole-text parse, the same bits
+    last = rows[-1][-1]
+    rows[-1][-1] = {"im": last["im"], "re": last["re"]}
+    path = tmp_path / "mixed.json"
+    path.write_text(dense_text(d_a, d_b, rows))
+    assert cli._read_dense(path.read_bytes()) is None
+    loaded.append(new_load(path)[1].tobytes())
+    assert loaded == [mat.tobytes()] * 5
 
 
 # --- integers beyond float range ---
