@@ -138,13 +138,6 @@ def _parse_json(raw: bytes, path: str):
 #: The ``json.dumps`` separators (item, key) that ``_read_dense`` reads: the
 #: default ones and ``separators=(",", ":")``.
 _SEPARATORS = ((b", ", b": "), (b",", b":"))
-_COMMA, _OPEN, _BRACE, _END_BRACE, _BACKSLASH = b",[{}\\"
-
-
-def _at(text: np.ndarray, starts: np.ndarray, pattern: bytes) -> np.ndarray:
-    """Whether ``text`` holds ``pattern`` at each position in ``starts``."""
-    span = starts[:, None] + np.arange(len(pattern))
-    return (text[span] == np.frombuffer(pattern, np.uint8)).all(1)
 
 
 def _read_dense(raw: bytes):
@@ -156,12 +149,13 @@ def _read_dense(raw: bytes):
     from the text right after the first ``"matrix":``, the key order from the
     first entry's text; an entry in the other order gives None. The head is
     the document with the matrix value cut out, parsed with ``_entry_hook``.
-    Each all-zero row is one comparison with the text of a zero row. The
-    other rows get one numpy scan: entries from the ``{``/``}`` positions,
-    the separators between them checked, zero entries found by comparison
-    with the zero entry's text, and the first and second number, u and v,
-    cut from each other entry. One ``json.loads`` reads those 2 * nnz
-    numbers, which are put in (x, y) order and scattered into a zero matrix.
+    Each all-zero row is one comparison with the text of a zero row. Each
+    other row is cut by one ``split`` at the joint ``}`` + separator + ``{``
+    + first key into its entries' parts. A part equal to the zero entry's
+    part is a zero entry; every other part is ``partition``ed at its first
+    separator + second key into its first and second number, u and v. One
+    ``json.loads`` reads those 2 * nnz numbers, which are put in (x, y)
+    order and scattered into a zero matrix.
 
     This reads what ``_parse_json`` reads, or returns None:
 
@@ -173,11 +167,16 @@ def _read_dense(raw: bytes):
       which ``json`` keeps over any earlier one spelled another way (such
       as ``"matrix" :``). An escaped quote (a key such as
       ``"a \\"matrix"``) proves nothing of the keys before it: None;
-    * the text after the key must be dim rows of dim entries, each holding
-      one ``{`` and one ``}``, then ``}`` and JSON whitespace;
-    * u runs to the first comma. ``json`` must read 2 * nnz numbers from the
-      u and v texts joined by commas; so no v holds a comma, and each u and
-      v is one JSON number, in an entry that is one object.
+    * the text after the key must be dim rows, then ``}`` and JSON
+      whitespace. A row is ``[{``, the first key, dim parts joined by the
+      joint, then ``}]``;
+    * ``json`` must read exactly 2 * nnz numbers from the u and v texts
+      joined by commas. No text is empty (a part without a second key
+      leaves an empty v, which ``json`` rejects), and a value that spans a
+      comma is a string, list or object, not a number; so each u and v is
+      one JSON number, and a comma, quote or brace in a part changes the
+      count or the types. Every entry is then ``{`` first key u separator
+      second key v ``}``, one object with the two keys.
 
     None means any other spelling, a row or dims that do not fit, or an entry
     that is not a finite number pair; the caller then parses the whole text
@@ -185,17 +184,17 @@ def _read_dense(raw: bytes):
     """
     key = raw.find(b'"matrix":')
     seps = next((s for s in _SEPARATORS if raw.startswith(b'"matrix"%s[' % s[1], key)), None)
-    if key < 1 or raw[key - 1] == _BACKSLASH or seps is None:
+    if key < 1 or raw[key - 1] == ord("\\") or seps is None:
         return None
     sep, colon = seps
     value, end = key + len(b'"matrix"') + len(colon), len(raw)  # the matrix's "[", the text's end
     swapped = raw.startswith(b'[{"im"', value + 1)  # the first entry's key order
     names = (b'"im"', b'"re"') if swapped else (b'"re"', b'"im"')
-    first_key, second_key = b"{" + names[0] + colon, sep + names[1] + colon
-    zero = first_key + b"0.0" + second_key + b"0.0}"
+    opening, second_key = b"[{" + names[0] + colon, sep + names[1] + colon
+    joint, zero = b"}" + sep + opening[1:], b"0.0" + second_key + b"0.0"
     while raw[end - 1] in b" \t\n\r":  # JSON whitespace: not bytes.rstrip's set
         end -= 1
-    if raw[end - 1] != _END_BRACE:
+    if raw[end - 1] != ord("}"):
         return None
     try:
         head = json.loads(raw[:value].decode("utf-8") + "null}", object_hook=_entry_hook)
@@ -208,7 +207,7 @@ def _read_dense(raw: bytes):
     if 2 * dim * dim > end - value:  # too short for dim x dim entries
         return None
 
-    zero_row = b"[" + sep.join([zero] * dim) + b"]"
+    zero_row = opening + joint.join([zero] * dim) + b"}]"
     spans, pos = [], value + 1  # (i, start, stop) of each row that is not all zero
     for i in range(dim):
         if raw.startswith(zero_row, pos):
@@ -226,36 +225,26 @@ def _read_dense(raw: bytes):
     if pos != end - 1:
         return None
 
-    buf = np.frombuffer(raw, np.uint8)
     # each list starts empty-typed, for a matrix without a nonzero entry
-    rows, cols, numbers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, np.uint8)]
+    rows, cols, numbers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
     for i, start, stop in spans:
-        row = buf[start:stop]
-        opens, closes = np.flatnonzero(row == _BRACE), np.flatnonzero(row == _END_BRACE)
-        if not (len(opens) == len(closes) == dim and row[0] == _OPEN and opens[0] == 1
-                and closes[-1] == len(row) - 2 and (opens[1:] == closes[:-1] + len(sep) + 1).all()
-                and _at(row, closes[:-1] + 1, sep).all()):
+        # opening has no "}" or "]", so it and the "}]" cannot overlap
+        if not (raw.startswith(opening, start) and raw.endswith(b"}]", start, stop)):
             return None
-        live = closes - opens != len(zero) - 1
-        live[~live] = ~_at(row, opens[~live], zero)
-        col = np.flatnonzero(live)
-        opens, closes = opens[col], closes[col]
-        commas = np.flatnonzero(row == _COMMA)
-        mid = np.append(commas, len(row))[np.searchsorted(commas, opens + len(first_key))]
-        if not ((mid + len(second_key) <= closes).all() and _at(row, opens, first_key).all()
-                and _at(row, mid, second_key).all()):
+        parts = raw[start + len(opening):stop - 2].split(joint)
+        if len(parts) != dim:
             return None
-        # keep u and its comma, v and its "}"; each "}" becomes a comma below
-        edges = np.zeros(len(row), bool)
-        for first, last in ((opens + len(first_key), mid), (mid + len(second_key), closes)):
-            edges[first] = edges[last + 1] = True
+        col = [j for j, part in enumerate(parts) if part != zero]
+        texts = []
+        for j in col:
+            u, _, v = parts[j].partition(second_key)
+            texts += u, v
         rows.append(np.full(len(col), i))
-        cols.append(col)
-        numbers.append(row[np.logical_xor.accumulate(edges)])
-    rows, cols, numbers = (np.concatenate(a) for a in (rows, cols, numbers))
-    numbers[numbers == _END_BRACE] = _COMMA
+        cols.append(np.array(col, np.intp))
+        numbers.append(b",".join(texts))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     try:
-        values = json.loads("[%s]" % numbers[:-1].tobytes().decode("utf-8"))
+        values = json.loads("[%s]" % b",".join(numbers).decode("utf-8"))
         if len(values) != 2 * len(rows) or not _VALUE_TYPES.issuperset(map(type, values)):
             return None
         if swapped:
@@ -287,7 +276,8 @@ def load_document(path: str) -> tuple[AdditiveStructure, DensityMatrix]:
 
     The file is read once as bytes. A document in ``json.dumps`` spelling,
     with default or compact separators and either key order of the entries,
-    is read by ``_read_dense``, which turns only its nonzero entries into
+    is read by ``_read_dense``, which cuts only the rows holding a nonzero
+    entry (one ``bytes.split`` each) and turns only the nonzero entries into
     Python objects; any other document is parsed whole by ``_parse_json``,
     where ``_entry_hook`` turns well-formed entries into numbers and only
     rows holding anything else go through ``_parse_entry``. Both give the

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import EPS_TR, AdditiveStructure, DensityMatrix
+from .structure import EPS_PSD, EPS_TR, AdditiveStructure, DensityMatrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,7 +66,7 @@ class HiggsZZParams:
         if abs(total - 1.0) > EPS_TR:
             raise ValueError(f"diagonal sums to {total!r}, expected 1")
         min_eig = float(np.linalg.eigvalsh(core)[0])
-        if min_eig < -1e-9:
+        if min_eig < -EPS_PSD:
             raise ValueError(
                 f"parameters give a non-PSD matrix: min eigenvalue {min_eig:.3e}"
             )

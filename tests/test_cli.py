@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -506,8 +507,8 @@ def test_json_reads_two_numbers_per_nonzero_entry_and_no_zero_row(kind, separato
     # a 4|4 chain document (dim 256) is mostly zero entries in mostly
     # all-zero rows; json reads the head without the matrix (the hook runs on
     # its root object alone) and the re and im of each nonzero entry, no text
-    # it reads holds a zero entry, and the numpy scan sees only the rows that
-    # hold a nonzero entry (it checks each one's separators once)
+    # it reads holds a zero entry, and only the rows that hold a nonzero
+    # entry are cut (one bytes.split each)
     corpus = _benchmark_corpus()
     text = corpus.document_text(getattr(corpus, kind)(730, 0, 4))
     if separators is not None:
@@ -516,8 +517,8 @@ def test_json_reads_two_numbers_per_nonzero_entry_and_no_zero_row(kind, separato
     path.write_text(text)
     zero = json.dumps({"re": 0.0, "im": 0.0}, separators=separators)
     assert 0 < text.count(zero) < 256 * 256
-    loads, hook, at = json.loads, cli._entry_hook, cli._at
-    texts, numbers, hooked, scanned = [], [], [], []
+    loads, hook = json.loads, cli._entry_hook
+    texts, numbers, hooked, splits = [], [], [], []
 
     def counting_loads(s, **kwargs):
         texts.append(s)
@@ -528,18 +529,20 @@ def test_json_reads_two_numbers_per_nonzero_entry_and_no_zero_row(kind, separato
         hooked.append(sorted(obj))
         return hook(obj)
 
-    def counting_at(row, starts, pattern):
-        if pattern in (b", ", b","):
-            scanned.append(len(row))
-        return at(row, starts, pattern)
+    def count_splits(frame, event, arg):
+        if event == "c_call" and arg.__name__ == "split" and type(arg.__self__) is bytes:
+            splits.append(arg.__self__)
 
     monkeypatch.setattr(json, "loads", counting_loads)
     monkeypatch.setattr(cli, "_entry_hook", counting_hook)
-    monkeypatch.setattr(cli, "_at", counting_at)
-    s, rho = cli.load_document(str(path))
+    sys.setprofile(count_splits)
+    try:
+        s, rho = cli.load_document(str(path))
+    finally:
+        sys.setprofile(None)
     nnz = np.count_nonzero(rho.matrix)
     assert 256 * 256 - text.count(zero) == nnz
     assert len(numbers) == 3 + s.d_a + s.d_b + 2 * nnz  # dimA, dimB, jTotal, the labels
     assert hooked == [["dimA", "dimB", "jA", "jB", "jTotal", "matrix"]]
     assert not any(zero in t for t in texts)
-    assert 0 < len(scanned) == np.count_nonzero(rho.matrix.any(axis=1)) < 256
+    assert 0 < len(splits) == np.count_nonzero(rho.matrix.any(axis=1)) < 256

@@ -402,6 +402,11 @@ DENSE_DOCS = {
     ),
     "sort_keys_nan": (_doc(_rows('{"im": NaN, "re": 0.0}', zero=ZERO_SORTED)), "matrix entries must be finite"),
     "duplicate_re": (_doc(_rows('{"re": 1, "re": 2, "im": 3}')), None),
+    # json keeps the last "im": a v cut at the next key would read 1+2j
+    "duplicate_im": (_doc(_rows('{"re": 1, "im": 2, "im": 3}')), None),
+    # a cut that replaced every second key, or did not cut each entry at
+    # one, would read the four numbers as 5+1j and 2+3j
+    "im_missing_then_extra_number": (_doc(_pair('{"re": 5}, {"re": 1,2, "im": 3}')), BAD_JSON),
     "re_alone": (_doc(_rows('{"re": 0.5}')), None),
     "bool": (_doc(_rows('{"re": true, "im": 0.0}')), "matrix entry re/im must be numbers"),
     "string": (_doc(_rows('{"re": "1", "im": 0.0}')), "matrix entry re/im must be numbers"),
@@ -444,6 +449,13 @@ DENSE_DOCS = {
         _doc(_pair(f"{ZERO}, {ZERO}", f"{ZERO}, {ZERO}, {ZERO}")), "matrix row 1 must have 2 entries"
     ),
     "double_comma": (_doc(_pair(f"{ONE},,{ZERO}")), BAD_JSON),
+    # a compact "},{" in a default-spelling row: one part too few, read whole
+    "compact_joint": (_doc(_pair(f"{ONE},{ZERO}")), None),
+    # the first part is '0.0, "im": 0.0},{"re": 0.5, "im": 0.0': a zero test
+    # by prefix would read the row's three entries as two
+    "compact_joint_third_entry": (
+        _doc(_pair(f'{ZERO},{{"re": 0.5, "im": 0.0}}, {ONE}')), "matrix row 0 must have 2 entries"
+    ),
     "row_without_bracket": (_doc(f"[ {ONE}, {ZERO}], [{ZERO}, {ZERO}]]"), BAD_JSON),
     "plain_numbers": (_doc("[[0.5, 0], [0, 0.5]]"), None),
     "all_zero": (_doc(_rows(ZERO)), None),
@@ -475,26 +487,32 @@ def test_dense_documents_match_reference(doc_path, name):
         assert got[0] == "error" and got[1].startswith(expected)
 
 
-def _random_rows(d_a: int, d_b: int) -> tuple[np.ndarray, list]:
-    """A sparse random complex matrix and its rows as re/im objects."""
+def _random_rows(d_a: int, d_b: int, full: bool = False) -> tuple[np.ndarray, list]:
+    """A random complex matrix, sparse or with every entry nonzero, and its
+    rows as re/im objects."""
     dim = d_a * d_b
     rng = np.random.default_rng(dim)
-    mat = np.zeros((dim, dim), complex)
-    mat[rng.integers(0, dim, dim), rng.integers(0, dim, dim)] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if full:
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    else:
+        mat = np.zeros((dim, dim), complex)
+        mat[rng.integers(0, dim, dim), rng.integers(0, dim, dim)] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return mat, [[{"re": z.real, "im": z.imag} for z in row] for row in mat.tolist()]
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (4, 4)])
 def test_both_spellings_give_the_same_matrix_bits(dims, tmp_path):
+    # sparse, then with every entry nonzero, so that every row is cut
     d_a, d_b = dims
-    mat, rows = _random_rows(d_a, d_b)
-    loaded = []
-    for separators in SPELLINGS:
-        path = tmp_path / f"{separators}.json"
-        path.write_text(dense_text(d_a, d_b, rows, separators))
-        assert cli._read_dense(path.read_bytes()) is not None
-        loaded.append(new_load(path)[1].tobytes())
-    assert loaded == [mat.tobytes()] * 2
+    for full in (False, True):
+        mat, rows = _random_rows(d_a, d_b, full)
+        loaded = []
+        for separators in SPELLINGS:
+            path = tmp_path / f"{separators}.json"
+            path.write_text(dense_text(d_a, d_b, rows, separators))
+            assert cli._read_dense(path.read_bytes()) is not None
+            loaded.append(new_load(path)[1].tobytes())
+        assert loaded == [mat.tobytes()] * 2
 
 
 @pytest.mark.parametrize("dims", [(1, 2), (2, 3), (4, 4)])
