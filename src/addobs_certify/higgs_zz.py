@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _psd_min_eig
 from .structure import EPS_PSD, EPS_TR, AdditiveStructure, DensityMatrix
 
 SQRT2 = math.sqrt(2.0)
@@ -65,8 +66,8 @@ class HiggsZZParams:
         total = self.a11 + self.a22 + self.a33
         if abs(total - 1.0) > EPS_TR:
             raise ValueError(f"diagonal sums to {total!r}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(core)[0])
-        if min_eig < -EPS_PSD:
+        min_eig = _psd_min_eig(core, EPS_PSD)
+        if min_eig is not None:
             raise ValueError(
                 f"parameters give a non-PSD matrix: min eigenvalue {min_eig:.3e}"
             )

@@ -10,6 +10,13 @@ partial transpose, read from the density matrix without building the
 partial transpose (at a 5|5 cut, 252 rows and blocks of at most 200
 instead of 1024). ``partial_transpose`` itself serves the dense fallback
 and callers that want the whole matrix.
+
+Two answers need less than a full eigensolve. Whether a Hermitian matrix
+has no eigenvalue below -tol is decided by a Cholesky factorization of the
+matrix + tol * I, with the eigensolve only when it fails (``_psd_min_eig``).
+The smallest eigenvalue of a Hermitian [[0, C], [C^dagger, 0]] is
+-sigma_max(C) (Jordan-Wielandt), so ``structure`` takes a cross block's
+minimum from the singular values of C.
 """
 
 from __future__ import annotations
@@ -59,13 +66,43 @@ def eigenvalues_hermitian(h, herm_tol: float = EPS_HERM) -> np.ndarray:
     Raises ``ValueError`` when the input is not Hermitian within
     ``herm_tol``; the defect is reported in the message.
     """
+    return np.linalg.eigvalsh(_hermitian(h, herm_tol))
+
+
+def _hermitian(h, herm_tol: float = EPS_HERM) -> np.ndarray:
+    """``h`` as a square complex matrix; ``ValueError`` when it is not
+    Hermitian within ``herm_tol``, with the defect in the message."""
     mat = as_square_matrix(h)
     defect = hermiticity_defect(mat)
     if defect > herm_tol:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {herm_tol:.3e}"
         )
-    return np.linalg.eigvalsh(mat)
+    return mat
+
+
+def _psd_min_eig(h: np.ndarray, psd_tol: float) -> float | None:
+    """None when the Hermitian ``h`` has no eigenvalue below ``-psd_tol``,
+    else its smallest eigenvalue.
+
+    A Cholesky factorization of h + psd_tol * I exists exactly when every
+    eigenvalue of h exceeds -psd_tol, so its success accepts without an
+    eigensolve. Rounding makes the two disagree only for a smallest
+    eigenvalue within about k * eps * ||h|| of -psd_tol (k the size of h;
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). On
+    failure (at ``psd_tol`` 0 the usual outcome for a singular h)
+    ``eigvalsh`` decides. An empty h has no eigenvalue and is accepted.
+    """
+    if not h.size:
+        return None
+    shifted = h.copy()
+    shifted.flat[:: len(h) + 1] += psd_tol  # h + psd_tol * I, in one copy
+    try:
+        np.linalg.cholesky(shifted)
+        return None
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(h)[0])
+        return low if low < -psd_tol else None
 
 
 def partial_transpose(rho, d_a: int, d_b: int) -> np.ndarray:

@@ -39,7 +39,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import EPS_HERM, as_square_matrix, eigenvalues_hermitian, partial_transpose
+from .linalg import (
+    EPS_HERM,
+    _hermitian,
+    _psd_min_eig,
+    as_square_matrix,
+    eigenvalues_hermitian,
+    partial_transpose,
+)
 
 #: Tolerance for comparing eigenvalue labels of the additive observable.
 EPS_J = 1e-9
@@ -323,20 +330,25 @@ class DensityMatrix:
     whose hermiticity defect exceeds ``herm_tol``) and made read-only.
     Slightly negative eigenvalues down to ``-psd_tol`` are accepted, since
     matrices reconstructed from measured entries routinely fail strict
-    positivity at that level; anything worse is a hard error. Each of the
-    three tolerances must be finite and nonnegative (``ValueError``).
+    positivity at that level; anything worse is a hard error. Positivity is
+    decided by a Cholesky factorization of the checked matrix + ``psd_tol``
+    * I, which exists exactly when no eigenvalue lies below -``psd_tol``, up
+    to a rounding band of about k * eps about it (k rows). Only when it
+    fails does ``eigvalsh`` run, to compare and report as before; at
+    ``psd_tol`` 0 a singular state always takes it. Each of the three
+    tolerances must be finite and nonnegative (``ValueError``).
 
     From dim 32 up the checks run on the live indices only: those whose row
     or column holds a nonzero entry (by bit pattern, so -0.0 counts). Every
     entry off them is +0 in the input and stays +0 when symmetrized, so the
     finiteness test, the hermiticity defect, the symmetrization and the
-    positivity solve are taken on the live submatrix, which is scattered
+    positivity check are taken on the live submatrix, which is scattered
     into a zero matrix, with the same bits and the same decisions as on the
     whole: the rows off it only add zero eigenvalues, and so does a live row
     that is zero by value. The live indices are kept, so the texture scan
     and the minimum PT eigenvalue read the same support. A chain state of
-    dim 1024 with 252 live rows works on 252 x 252 arrays and solves a
-    252 x 252 problem. Smaller matrices are checked and solved whole.
+    dim 1024 with 252 live rows works on 252 x 252 arrays and factors a
+    252 x 252 matrix. Smaller matrices are checked whole.
     """
 
     matrix: np.ndarray
@@ -372,8 +384,8 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > self.trace_tol:
             raise StateValidationError(f"trace {tr!r} differs from 1 beyond tolerance")
-        min_eig = float(np.linalg.eigvalsh(sub).min(initial=0.0))  # 0 with no support
-        if min_eig < -self.psd_tol:
+        min_eig = _psd_min_eig(sub, self.psd_tol)
+        if min_eig is not None:
             raise StateValidationError(
                 f"not positive semi-definite: min eigenvalue {min_eig:.3e}"
             )
@@ -509,11 +521,23 @@ class _Analysis:
 
     def block_min(self, k: int) -> tuple[float, float]:
         """(lambda_min, trace) of block k of ``s._pt_blocks``, read from rho
-        once; lambda_min is 0.0, without a solve, for an all-zero block."""
+        once; lambda_min is 0.0, without a solve, for an all-zero block.
+
+        A sector block is solved by ``eigvalsh``. A cross block is read only
+        on ``min_pt``'s guarded path, where its diagonal sub-blocks are zero
+        (their entries join off-shell pairs): after the same hermiticity
+        check, its minimum is -sigma_max of the coupling (Jordan-Wielandt).
+        """
         if k not in self._mins:
             b = self.s._pt_blocks[k]
             block = self.mat[b.rows, b.cols]
-            low = float(eigenvalues_hermitian(block)[0]) if block.any() else 0.0
+            if not block.any():
+                low = 0.0
+            elif b.partner is None:
+                low = float(eigenvalues_hermitian(block)[0])
+            else:
+                d1 = len(b.flats_mq)
+                low = -float(np.linalg.svd(_hermitian(block)[:d1, d1:], compute_uv=False)[0])
             self._mins[k] = low, float(np.trace(block).real)
         return self._mins[k]
 
@@ -637,7 +661,11 @@ def min_pt_eigenvalue(rho, s: AdditiveStructure) -> float:
     rho lies in one of the texture's disjoint blocks (see
     ``pt_block_decomposition``), read straight from rho: the spectrum is the
     blocks' spectra plus one 0 per row in no block, and an all-zero block
-    adds zeros without an eigensolve. No ``zero_tol`` enters: each block is
+    adds zeros without an eigensolve. A sector block is solved by
+    ``eigvalsh``. A cross block is [[0, C], [C^dagger, 0]] there (both
+    diagonal sub-blocks join off-shell pairs), with eigenvalues +/- the
+    singular values of C (Jordan-Wielandt), so its minimum is
+    -sigma_max(C), from one SVD of C. No ``zero_tol`` enters: each block is
     solved once per state, whatever tolerances other calls pass, and the
     block-PPT rung of ``entanglement.certify`` reads its sector blocks'
     minima and traces from the same solves. Otherwise (entries off the

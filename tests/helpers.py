@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +16,15 @@ SEED = int(os.environ.get("ADDOBS_CERTIFY_SEED", "42"))
 
 def make_rng(offset: int = 0) -> np.random.Generator:
     return np.random.default_rng(SEED + offset)
+
+
+def benchmark_corpus():
+    """``perfbench/corpus.py``, the benchmark's seeded state generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bell_system() -> tuple[AdditiveStructure, DensityMatrix]:

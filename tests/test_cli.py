@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import json
 import math
 import re
@@ -19,7 +18,7 @@ from addobs_certify.higgs_zz import params_from_measured, rho_from_params
 from addobs_certify.linalg import eigenvalues_hermitian
 from addobs_certify.structure import pt_block_decomposition
 
-from helpers import bell_system
+from helpers import bell_system, benchmark_corpus
 
 
 def write_doc(path, j_a, j_b, j_total, matrix) -> str:
@@ -349,13 +348,36 @@ def test_certify_tests_a_sector_between_zero_tol_and_eps_zero(tmp_path, capsys):
     assert payload["entanglementVerdict"]["status"] == "SEPARABLE_CERTIFIED"
 
 
-def _benchmark_corpus():
-    """``perfbench/corpus.py``, the benchmark's seeded state generator."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _expected_solves(rho, s) -> list[tuple[str, int]]:
+    """(solver, block size) for each PT block of ``rho`` holding a nonzero
+    entry: ``eigvalsh`` for a sector block, ``svd`` for a cross block."""
+    decomposition = pt_block_decomposition(rho, s)
+    return sorted(
+        [("eigvalsh", len(b.matrix)) for b in decomposition.type_a if np.count_nonzero(b.matrix)]
+        + [("svd", len(b.matrix)) for b in decomposition.type_b if np.count_nonzero(b.matrix)]
+    )
+
+
+def _count_pt_solves(monkeypatch) -> list[tuple[str, int]]:
+    """A list that records each later solve as (solver, block size):
+    ``eigenvalues_hermitian`` as called from ``structure`` and
+    ``entanglement``, and ``np.linalg.svd`` of a cross block's coupling,
+    whose rows plus columns are the block's size."""
+    solves = []
+    svd = np.linalg.svd
+
+    def counting_eigenvalues(h, *args, **kwargs):
+        solves.append(("eigvalsh", len(h)))
+        return eigenvalues_hermitian(h, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        solves.append(("svd", sum(np.shape(a))))
+        return svd(a, *args, **kwargs)
+
+    for module in (structure, entanglement):
+        monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return solves
 
 
 @pytest.mark.parametrize("kind", ["chain_sector_diagonal", "chain_full_support"])
@@ -364,19 +386,18 @@ def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkey
     # live indices once and every later step reads them, so no flatnonzero
     # or count_nonzero call sees all dim x dim entries; one texture scan, on
     # the live x live mask, for the texture, the crossed entries and the
-    # anchors; and one eigensolve per PT block holding a nonzero entry,
-    # shared by the minimum PT eigenvalue and the block-PPT rung
-    corpus = _benchmark_corpus()
+    # anchors; and one solve per PT block holding a nonzero entry (eigvalsh
+    # of a sector block, the SVD of a cross block's coupling), shared by the
+    # minimum PT eigenvalue and the block-PPT rung
+    corpus = benchmark_corpus()
     path = tmp_path / f"{kind}.json"
     path.write_text(corpus.document_text(getattr(corpus, kind)(730, 0, 4)))
     s, rho = cli.load_document(str(path))
-    decomposition = pt_block_decomposition(rho, s)
-    blocks = [b.matrix for b in decomposition.type_a + decomposition.type_b]
-    expected = sorted(len(b) for b in blocks if np.count_nonzero(b))
+    expected = _expected_solves(rho, s)
 
     n_live = len(rho._live)
     assert n_live < s.dim
-    passes, scans, solves = [], [], []
+    passes, scans = [], []
 
     def counting(name):
         original = getattr(np, name)
@@ -390,14 +411,9 @@ def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkey
 
         monkeypatch.setattr(np, name, count)
 
-    def counting_eigenvalues(h, *args, **kwargs):
-        solves.append(len(h))
-        return eigenvalues_hermitian(h, *args, **kwargs)
-
     counting("flatnonzero")
     counting("count_nonzero")
-    for module in (structure, entanglement):
-        monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
+    solves = _count_pt_solves(monkeypatch)
     assert cli.main(["certify", str(path)]) == 0
     assert "texture: VALID" in capsys.readouterr().out
     assert passes == []
@@ -409,19 +425,17 @@ def test_certify_scans_once_and_solves_each_pt_block_once(kind, tmp_path, monkey
 def test_public_calls_on_one_state_share_its_record(kind, tmp_path, monkeypatch):
     # the library calls on one DensityMatrix of a 4|4 chain document read the
     # record the state keeps: together they make one texture scan, on the
-    # live x live mask, and one eigensolve per PT block holding a nonzero
-    # entry, counted as in the test above
-    corpus = _benchmark_corpus()
+    # live x live mask, and one solve per PT block holding a nonzero entry,
+    # counted as in the test above
+    corpus = benchmark_corpus()
     path = tmp_path / f"{kind}.json"
     path.write_text(corpus.document_text(getattr(corpus, kind)(730, 0, 4)))
     s, rho = cli.load_document(str(path))
     other_s, other = cli.load_document(str(path))  # the blocks, from a state of its own
-    decomposition = pt_block_decomposition(other, other_s)
-    blocks = [b.matrix for b in decomposition.type_a + decomposition.type_b]
-    expected = sorted(len(b) for b in blocks if np.count_nonzero(b))
+    expected = _expected_solves(other, other_s)
 
     n_live = len(rho._live)
-    passes, scans, solves = [], [], []
+    passes, scans = [], []
 
     def counting(name):
         original = getattr(np, name)
@@ -435,14 +449,9 @@ def test_public_calls_on_one_state_share_its_record(kind, tmp_path, monkeypatch)
 
         monkeypatch.setattr(np, name, count)
 
-    def counting_eigenvalues(h, *args, **kwargs):
-        solves.append(len(h))
-        return eigenvalues_hermitian(h, *args, **kwargs)
-
     counting("flatnonzero")
     counting("count_nonzero")
-    for module in (structure, entanglement):
-        monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
+    solves = _count_pt_solves(monkeypatch)
     assert structure.validate_additivity(rho, s) == []
     entanglement.certify(rho, s)
     chsh.certify_nonlocality(rho, s)
@@ -458,10 +467,10 @@ def test_public_calls_on_one_state_share_its_record(kind, tmp_path, monkeypatch)
 def test_changing_zero_tol_solves_no_pt_block_again(kind, tmp_path, monkeypatch):
     # neither the PT blocks nor their spectra depend on zero_tol, so three
     # rounds of certify at 1e-10, min_pt_eigenvalue (no tolerance) and
-    # validate_additivity at 0 on one 4|4 chain state make one eigensolve per
-    # PT block holding a nonzero entry, counted as above, and answer as a
-    # fresh state does
-    corpus = _benchmark_corpus()
+    # validate_additivity at 0 on one 4|4 chain state make one solve per PT
+    # block holding a nonzero entry, counted as above, and answer as a fresh
+    # state does
+    corpus = benchmark_corpus()
     path = tmp_path / f"{kind}.json"
     path.write_text(corpus.document_text(getattr(corpus, kind)(730, 0, 4)))
     s, rho = cli.load_document(str(path))
@@ -475,17 +484,8 @@ def test_changing_zero_tol_solves_no_pt_block_again(kind, tmp_path, monkeypatch)
 
     fresh = answers(cli.load_document(str(path))[1])
     other_s, other = cli.load_document(str(path))
-    decomposition = pt_block_decomposition(other, other_s)
-    blocks = [b.matrix for b in decomposition.type_a + decomposition.type_b]
-    expected = sorted(len(b) for b in blocks if np.count_nonzero(b))
-    solves = []
-
-    def counting_eigenvalues(h, *args, **kwargs):
-        solves.append(len(h))
-        return eigenvalues_hermitian(h, *args, **kwargs)
-
-    for module in (structure, entanglement):
-        monkeypatch.setattr(module, "eigenvalues_hermitian", counting_eigenvalues)
+    expected = _expected_solves(other, other_s)
+    solves = _count_pt_solves(monkeypatch)
     for _ in range(3):
         assert answers(rho) == fresh
     assert sorted(solves) == expected
@@ -509,7 +509,7 @@ def test_json_reads_two_numbers_per_nonzero_entry_and_no_zero_row(kind, separato
     # its root object alone) and the re and im of each nonzero entry, no text
     # it reads holds a zero entry, and only the rows that hold a nonzero
     # entry are cut (one bytes.split each)
-    corpus = _benchmark_corpus()
+    corpus = benchmark_corpus()
     text = corpus.document_text(getattr(corpus, kind)(730, 0, 4))
     if separators is not None:
         text = json.dumps(json.loads(text), separators=separators)

@@ -26,6 +26,7 @@ from addobs_certify.higgs_zz import (
     rho_from_params,
     significance,
 )
+from addobs_certify.structure import EPS_PSD
 
 from helpers import make_rng
 
@@ -53,6 +54,20 @@ class TestParams:
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError, match="non-PSD"):
             HiggsZZParams(0.0, 1.0, 0.0, complex(0.9), 0j, 0j)
+
+    @pytest.mark.parametrize("a12", [0.2, 1 / 3, 1 / 3 + 2e-9, 0.5, 0.9])
+    def test_psd_decision_and_message_follow_the_eigensolve(self, a12):
+        # the core's eigenvalues are 1/3 and 1/3 -+ a12: the Cholesky gate
+        # accepts and rejects as the eigensolve does, with the same message
+        entries = (1 / 3, 1 / 3, 1 / 3, complex(a12), 0j, 0j)
+        core = np.array([[1 / 3, a12, 0], [a12, 1 / 3, 0], [0, 0, 1 / 3]], dtype=complex)
+        min_eig = float(np.linalg.eigvalsh(core)[0])
+        if min_eig >= -EPS_PSD:
+            HiggsZZParams(*entries)
+            return
+        with pytest.raises(ValueError) as info:
+            HiggsZZParams(*entries)
+        assert str(info.value) == f"parameters give a non-PSD matrix: min eigenvalue {min_eig:.3e}"
 
     @pytest.mark.parametrize(
         "entries",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addobs_certify import structure
+from addobs_certify.cli import load_document
 from addobs_certify.entanglement import classify_sectors
 from addobs_certify.higgs_zz import HIGGS_STRUCTURE, params_from_measured, rho_from_params
 from addobs_certify.linalg import EPS_HERM, as_square_matrix, partial_transpose
@@ -31,6 +33,7 @@ from addobs_certify.structure import (
 
 from helpers import (
     bell_system,
+    benchmark_corpus,
     chain_structure,
     make_rng,
     random_crossed_system,
@@ -299,6 +302,118 @@ class TestDensityMatrixSupport:
     def test_no_support_has_min_eigenvalue_zero(self, dim):
         # only reachable with a trace tolerance of at least 1
         assert DensityMatrix(np.zeros((dim, dim)), trace_tol=1.0).dim == dim
+
+
+def _counting_eigvalsh(monkeypatch) -> list[int]:
+    """A list that records the size of each later ``np.linalg.eigvalsh`` call."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@st.composite
+def gated_cases(draw):
+    """A unit-trace Hermitian matrix of dim 1-64 with a set spectrum, and a
+    ``psd_tol``.
+
+    The state lives on k of the dim indices (the other rows are zero, so
+    from dim 32 up the live submatrix is k x k). Of its k eigenvalues one is
+    ``low`` (0 to 3 times -psd_tol, anywhere in [-1e-2, 1e-2], or 0), some
+    may be 0 (rank-deficient) and the rest are positive.
+    """
+    dim = draw(st.integers(1, 64))
+    k = draw(st.integers(1, dim))
+    psd_tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    low = draw(
+        st.one_of(
+            st.floats(0.0, 3.0).map(lambda f: -f * psd_tol),
+            st.floats(-1e-2, 1e-2),
+            st.just(0.0),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if k == 1:
+        lam = np.ones(1)
+    else:
+        positive = rng.uniform(0.1, 1.0, k - 1 - draw(st.integers(0, k - 2)))
+        lam = np.zeros(k)
+        lam[0], lam[k - positive.size:] = low, positive * (1.0 - low) / positive.sum()
+    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    u, _ = np.linalg.qr(g)
+    support = np.sort(rng.choice(dim, size=k, replace=False))
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[np.ix_(support, support)] = (u * lam) @ u.conj().T
+    return mat, support, psd_tol
+
+
+class TestPositivityGate:
+    """Positivity is decided by a Cholesky factorization of rho_live +
+    psd_tol * I; ``eigvalsh`` runs only when it fails, and decides alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gated_cases())
+    def test_gated_decision_equals_the_eigensolve(self, case):
+        # the reference: the smallest eigenvalue of the symmetrized support,
+        # and the exact zeros of the other rows; decisions may differ only in
+        # a rounding band about -psd_tol
+        mat, support, psd_tol = case
+        sym = (mat + mat.conj().T) / 2.0
+        low = float(np.linalg.eigvalsh(sym[np.ix_(support, support)])[0])
+        if support.size < len(mat):
+            low = min(low, 0.0)
+        assume(abs(low + psd_tol) > 1e-12)
+        try:
+            DensityMatrix(mat, psd_tol=psd_tol)
+            accepted = True
+        except StateValidationError as exc:
+            assert "semi-definite" in str(exc)
+            accepted = False
+        assert accepted == (low >= -psd_tol)
+
+    def test_accepted_chain_state_makes_no_eigensolve(self, monkeypatch):
+        mat = random_shell_state(make_rng(70), chain_structure(4)).matrix
+        calls = _counting_eigvalsh(monkeypatch)
+        assert DensityMatrix(mat).dim == 256
+        assert calls == []
+
+    def test_rejected_chain_state_makes_one_eigensolve(self, monkeypatch):
+        # a negative diagonal entry on the shell; the message is the one the
+        # eigensolve of the symmetrized live submatrix gave before the gate
+        s = chain_structure(4)
+        mat = np.array(random_shell_state(make_rng(71), s).matrix)
+        i, j = s.shell_flats[:2]
+        shift = mat[i, i].real + 1e-3
+        mat[i, i] -= shift
+        mat[j, j] += shift
+        live = np.flatnonzero(mat.any(axis=1) | mat.any(axis=0))
+        sub = mat[np.ix_(live, live)]
+        min_eig = float(np.linalg.eigvalsh((sub + sub.conj().T) / 2.0).min(initial=0.0))
+        calls = _counting_eigvalsh(monkeypatch)
+        with pytest.raises(StateValidationError) as info:
+            DensityMatrix(mat)
+        assert calls == [live.size]
+        assert str(info.value) == f"not positive semi-definite: min eigenvalue {min_eig:.3e}"
+
+    @pytest.mark.parametrize("dim", [4, 40])
+    def test_singular_state_at_psd_tol_zero_takes_the_eigensolve(self, dim, monkeypatch):
+        # rho has a zero eigenvalue on its checked rows (a zero row at dim 4, a
+        # live row zero by value, -0.0, at dim 40): the factorization fails
+        # at psd_tol 0 and the eigensolve, which finds the exact 0, accepts
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[0, 0] = mat[1, 1] = 0.5
+        mat[2, 2] = complex(-0.0, 0.0)
+        calls = _counting_eigvalsh(monkeypatch)
+        assert DensityMatrix(mat, psd_tol=0.0).dim == dim
+        assert calls == [dim if dim < 32 else 3]
+
+    @pytest.mark.parametrize("dim", [3, 40])
+    def test_no_support_at_psd_tol_zero(self, dim):
+        assert DensityMatrix(np.zeros((dim, dim)), trace_tol=1.0, psd_tol=0.0).dim == dim
 
 
 def _whole_matrix_reference(matrix) -> np.ndarray:
@@ -674,3 +789,55 @@ class TestPtGathers:
         expected = partial_transpose(mat, s.d_a, s.d_b)
         monkeypatch.setattr(structure, "partial_transpose", _no_partial_transpose)
         np.testing.assert_array_equal(pt_block_decomposition(mat, s).assemble(), expected)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _assert_cross_diagonals_zero(rho, s: AdditiveStructure) -> None:
+    """``rho`` reaches the block path of the minimum PT eigenvalue (no
+    partial transpose is built), and both diagonal sub-blocks of every cross
+    block are zero there, so the block's minimum is -sigma_max of its
+    coupling."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structure, "partial_transpose", _no_partial_transpose)
+        min_pt_eigenvalue(rho, s)
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    cross = [b for b in s._pt_blocks if b.partner is not None]
+    assert cross
+    for block in cross:
+        d1 = len(block.flats_mq)
+        gathered = mat[block.rows, block.cols]
+        assert not gathered[:d1, :d1].any() and not gathered[d1:, d1:].any()
+
+
+class TestCrossBlockDiagonals:
+    """On the block path a cross block is [[0, C], [C^dagger, 0]]."""
+
+    @pytest.mark.parametrize("name", ["chain3_full", "chain3_sector"])
+    def test_data_documents(self, name):
+        s, rho = load_document(str(DATA / f"{name}.json"))
+        _assert_cross_diagonals_zero(rho, s)
+
+    @pytest.mark.parametrize("kind", ["chain_full_support", "chain_sector_diagonal"])
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_benchmark_chain_documents(self, kind, n_spins, index, tmp_path):
+        corpus = benchmark_corpus()
+        path = tmp_path / "doc.json"
+        path.write_text(corpus.document_text(getattr(corpus, kind)(730, index, n_spins)))
+        s, rho = load_document(str(path))
+        _assert_cross_diagonals_zero(rho, s)
+
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    def test_chain_states(self, n_spins):
+        s = chain_structure(n_spins)
+        _assert_cross_diagonals_zero(random_shell_state(make_rng(80 + n_spins), s), s)
+        _assert_cross_diagonals_zero(sector_diagonal_state(make_rng(90 + n_spins), s), s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_shell_states())
+    def test_generated_states(self, case):
+        s, mat = case
+        assume(any(b.partner is not None for b in s._pt_blocks))
+        _assert_cross_diagonals_zero(mat, s)
