@@ -55,14 +55,6 @@ class AnchorEntry:
     q0: int
     value: complex
 
-    @property
-    def alice(self) -> tuple[int, int]:
-        return (self.m0, self.n0)
-
-    @property
-    def bob(self) -> tuple[int, int]:
-        return (self.p0, self.q0)
-
     def row(self, d_b: int) -> int:
         return self.m0 * d_b + self.p0
 
@@ -89,21 +81,6 @@ class BasisReordering:
     @property
     def d_b(self) -> int:
         return len(self.bob_order)
-
-    @property
-    def alice_perm(self) -> tuple[int, ...]:
-        """Map original index -> new position."""
-        perm = [0] * self.d_a
-        for pos, orig in enumerate(self.alice_order):
-            perm[orig] = pos
-        return tuple(perm)
-
-    @property
-    def bob_perm(self) -> tuple[int, ...]:
-        perm = [0] * self.d_b
-        for pos, orig in enumerate(self.bob_order):
-            perm[orig] = pos
-        return tuple(perm)
 
     def product_order(self) -> tuple[int, ...]:
         """Original flat index sitting at each new flat position."""
@@ -144,20 +121,15 @@ class OExpectations:
     oy: float
     oz: float
 
-    @property
-    def vector(self) -> tuple[float, float, float]:
-        return (self.ox, self.oy, self.oz)
-
-    @property
-    def vector_norm(self) -> float:
-        return math.sqrt(self.ox**2 + self.oy**2 + self.oz**2)
-
 
 @dataclass(frozen=True, eq=False)
 class ChshCertificate:
-    """Closed-form CHSH maximum for one anchor, with the attaining settings.
+    """Closed-form CHSH maximum for one anchor, with the attaining angles.
 
-    The observables live in the reordered basis described by ``reorder``.
+    The anchor, the basis orders ``reorder``, ``f_max`` and the angles
+    ``theta_opt``, ``phi_opt`` decide the certificate; no settings matrix is
+    kept. ``build_observables(theta_opt, phi_opt, d_a, d_b)`` gives the four
+    settings, which act in the reordered basis described by ``reorder``.
     ``f_max`` exceeds 2 exactly when the anchor entry is nonzero and never
     exceeds the Tsirelson bound 2*sqrt(2).
     """
@@ -167,7 +139,6 @@ class ChshCertificate:
     f_max: float
     theta_opt: float
     phi_opt: float
-    observables: ChshObservables
 
 
 def find_anchor_entries(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> list[AnchorEntry]:
@@ -338,7 +309,8 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
 
     The maximum is attained when Bob's first setting aligns with the
     expectation vector (<Ox>, <Oy>, <Oz>) of the reordered state; the
-    aligned angles are returned together with the observables they define.
+    aligned angles are returned, and ``build_observables`` turns them into
+    the settings.
     """
     mat = _matrix_of(rho)
     _check_dims(mat, s)
@@ -355,14 +327,12 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     else:
         theta_opt = math.acos(min(1.0, max(-1.0, oz / norm))) + 0.0
         phi_opt = math.atan2(oy, ox) + 0.0  # +0.0 folds -0.0 into 0.0
-    obs = build_observables(theta_opt, phi_opt, d_a, d_b)
     return ChshCertificate(
         anchor=anchor,
         reorder=reorder,
         f_max=f_max,
         theta_opt=theta_opt,
         phi_opt=phi_opt,
-        observables=obs,
     )
 
 

@@ -35,9 +35,6 @@ SQRT2 = math.sqrt(2.0)
 HIGGS_LABELS = (1.0, 0.0, -1.0)
 HIGGS_STRUCTURE = AdditiveStructure(HIGGS_LABELS, HIGGS_LABELS, 0.0)
 
-#: Flat positions of the J_z = 0 shell in the 9x9 matrix.
-_SHELL = (2, 4, 6)
-
 #: Half-width of the rounding interval of a two-decimal printed input.
 INPUT_ROUNDING = 0.005
 
@@ -149,7 +146,8 @@ def params_from_measured(a12: float, a13: float) -> HiggsZZParams:
 def rho_from_params(p: HiggsZZParams) -> tuple[DensityMatrix, AdditiveStructure]:
     """The full 9x9 density matrix with the core placed on the J_z = 0 shell."""
     mat = np.zeros((9, 9), dtype=complex)
-    mat[np.ix_(_SHELL, _SHELL)] = p.core()
+    shell = HIGGS_STRUCTURE.shell_flats
+    mat[np.ix_(shell, shell)] = p.core()
     return DensityMatrix(mat), HIGGS_STRUCTURE
 
 

@@ -402,10 +402,12 @@ class DensityMatrix:
 #: per ``DensityMatrix`` (or per ``_Analysis`` for a raw array), and the checks, the
 #: texture scan and the min-PT guard read them; below it a matrix is checked,
 #: scanned and solved whole. At dims 4-20 finding and copying the support
-#: costs more than the smaller eigensolve saves: with the
-#: support path at every dim, the small-batch benchmark read +4 % in
-#: ``latency_p50_s`` (10 interleaved pairs in one checkout, against +1 % for
-#: two copies of the same code).
+#: costs more than it saves. Small-batch ``latency_p50_s`` (dims 4-20) from
+#: 8 pairs of alternating 10 s runs (``perfbench/run.py``, one pinned CPU of
+#: an Intel Xeon, Python 3.11, numpy 2.4), against copies with this fork
+#: moved to dim 0: 2.65e-4 s as is; 3.20e-4 s (+21 %, 0/8 pairs better) with
+#: live indices at every dim but the block min-PT still from dim 32;
+#: 4.24e-4 s (+60 %, 0/8) with the block min-PT at every dim too.
 _SPLIT_MIN_DIM = 32
 
 

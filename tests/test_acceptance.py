@@ -15,6 +15,7 @@ import numpy as np
 from addobs_certify.chsh import (
     TSIRELSON_BOUND,
     build_o_operators,
+    build_observables,
     f_max_closed_form,
     f_value,
     find_anchor_entries,
@@ -89,7 +90,8 @@ def test_criterion_3_closed_form_vs_grid_oracle():
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-4
         rho_r = cert.reorder.apply(rho)
-        assert abs(f_value(rho_r, cert.observables) - cert.f_max) <= 1e-10
+        obs = build_observables(cert.theta_opt, cert.phi_opt, s.d_a, s.d_b)
+        assert abs(f_value(rho_r, obs) - cert.f_max) <= 1e-10
         checked += 1
     _report(3, f"200 anchored states, worst gap {worst_gap:.2e}", started, 60.0)
 

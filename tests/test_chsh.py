@@ -127,7 +127,6 @@ class TestReorderBasis:
             assert sorted(reorder.alice_order) == list(range(s.d_a))
             assert sorted(reorder.bob_order) == list(range(s.d_b))
             assert sorted(reorder.product_order()) == list(range(s.dim))
-            assert reorder.alice_perm[reorder.alice_order[0]] == 0
 
 
 class TestBuildObservables:
@@ -395,7 +394,8 @@ class TestFMaxClosedForm:
             for anchor in find_anchor_entries(rho, s)[::10]:
                 cert = f_max_closed_form(rho, anchor, s)
                 exp = o_expectations(cert.reorder.apply(rho), s.d_a, s.d_b)
-                assert cert.theta_opt == math.acos(min(1.0, max(-1.0, exp.oz / exp.vector_norm))) + 0.0
+                norm = math.sqrt(exp.ox**2 + exp.oy**2 + exp.oz**2)
+                assert cert.theta_opt == math.acos(min(1.0, max(-1.0, exp.oz / norm))) + 0.0
                 assert cert.phi_opt == math.atan2(exp.oy, exp.ox) + 0.0
 
     def test_attained_at_reported_angles(self):
@@ -405,9 +405,8 @@ class TestFMaxClosedForm:
             for anchor in anchors:
                 cert = f_max_closed_form(rho, anchor, s)
                 rho_r = cert.reorder.apply(rho)
-                assert f_value(rho_r, cert.observables) == pytest.approx(
-                    cert.f_max, abs=1e-10
-                )
+                obs = build_observables(cert.theta_opt, cert.phi_opt, s.d_a, s.d_b)
+                assert f_value(rho_r, obs) == pytest.approx(cert.f_max, abs=1e-10)
 
     def test_tsirelson_bound_never_exceeded(self):
         rng = make_rng(31)

@@ -155,6 +155,25 @@ class TestCertify:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_no_settings_matrices_built(self, higgs_doc, monkeypatch):
+        # a certificate is its anchor, orders, fMax and angles; the settings
+        # matrices are built only when a caller asks build_observables
+        calls = []
+        real = chsh.build_observables
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chsh, "build_observables", counting)
+        rho, s = rho_from_params(params_from_measured(-0.33, 0.20))
+        assert chsh.certify_nonlocality(rho, s) is not None
+        assert cli.main(["certify", higgs_doc, "--grid", "8x8"]) == 0
+        assert cli.main(["certify", higgs_doc, "--format", "json"]) == 0
+        assert calls == []
+        chsh.build_observables(0.0, 0.0, 2, 2)
+        assert len(calls) == 1
+
 
 class TestHiggs:
     def test_table_point(self, capsys):

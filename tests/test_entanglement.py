@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from addobs_certify import structure
@@ -380,6 +380,99 @@ class TestTheorem:
         verdict = certify(rho, s)
         assume(isinstance(verdict.witness, CrossedEntry))
         assert min_pt_eigenvalue(rho, s) <= -abs(verdict.witness.value) + 1e-13
+
+
+#: States with a sector concurrence (before the max with 0) within this band
+#: of 0 are skipped: there block PPT and concurrence meet at 0, and the PPT
+#: rung's psd_tol (1e-9) decides. For two qubits the negativity
+#: 2|lambda_min(rho^T2)| is at least sqrt((1 - C)^2 + C^2) - (1 - C), about
+#: C^2/2 (Verstraete et al., J. Phys. A 34, 10327 (2001)), so a concurrence
+#: above the band puts the PT minimum below -2.5e-7.
+CONCURRENCE_BAND = 1e-3
+
+SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+
+
+def wootters_concurrence(sigma: np.ndarray) -> float:
+    """lambda_1 - lambda_2 - lambda_3 - lambda_4 of a two-qubit state, before the max with 0.
+
+    The lambdas are the square roots, in decreasing order, of the eigenvalues
+    of sigma (sY x sY) sigma* (sY x sY), taken as those of the Hermitian
+    sqrt(sigma) sigma~ sqrt(sigma) (Wootters, PRL 80, 2245 (1998)). The state is
+    separable exactly when this is <= 0. Uses no partial transpose.
+    """
+    sigma = sigma / np.trace(sigma).real
+    w, v = np.linalg.eigh(sigma)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    tilde = SIGMA_YY @ sigma.conj() @ SIGMA_YY
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(root @ tilde @ root), 0.0, None))[::-1]
+    return float(lam[0] - lam[1] - lam[2] - lam[3])
+
+
+@st.composite
+def two_qubit_sector_sums(draw):
+    """Direct sums of two-qubit states over 2x2 shell sectors, with no crossed entry.
+
+    Sector k pairs Alice's label k with Bob's label -k (J = 0), each doubly
+    degenerate, so with one sector any two-qubit state is allowed; an optional
+    last sector has one Alice index (TYPE1) and holds any state. Each 2x2
+    sector state is p G G^dagger / Tr + (1 - p) 1/4 for a random G of rank 1-4.
+    Returns the structure, the state and the 2x2 sector states.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_type2 = draw(st.integers(1, 3))
+    with_type1 = draw(st.booleans())
+    degs = [(2, 2)] * n_type2 + [(1, 2)] * with_type1
+    ja = tuple(float(k) for k, (deg, _) in enumerate(degs) for _ in range(deg))
+    jb = tuple(float(-k) for k, (_, deg) in enumerate(degs) for _ in range(deg))
+    s = AdditiveStructure(ja, jb, 0.0)
+    weights = rng.uniform(0.2, 1.0, len(degs))
+    weights /= weights.sum()
+    mat = np.zeros((s.dim, s.dim), dtype=complex)
+    sector_states = []
+    a0 = b0 = 0
+    for (deg_a, deg_b), weight in zip(degs, weights):
+        n = deg_a * deg_b
+        rank = draw(st.integers(1, n))
+        g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        sigma = g @ g.conj().T
+        p = draw(st.floats(0.0, 1.0))
+        sigma = p * sigma / np.trace(sigma).real + (1.0 - p) * np.eye(n) / n
+        if n == 4:
+            sector_states.append(sigma)
+        flats = [(a0 + i) * s.d_b + b0 + j for i in range(deg_a) for j in range(deg_b)]
+        mat[np.ix_(flats, flats)] = weight * sigma
+        a0, b0 = a0 + deg_a, b0 + deg_b
+    return s, DensityMatrix(mat), sector_states
+
+
+class TestType2Oracle:
+    @settings(max_examples=300, deadline=None)
+    @given(two_qubit_sector_sums())
+    def test_separable_iff_every_sector_concurrence_vanishes(self, case):
+        # with no crossed entry rho is the direct sum of its sector states, so
+        # it is separable exactly when each one is; for a 2x2 sector Wootters'
+        # concurrence decides that without reference to the partial transpose
+        s, rho, sector_states = case
+        assert not find_crossed_entries(rho, s)
+        assert all(c.kind is not SectorKind.LARGE for c in classify_sectors(s))
+        concurrences = [wootters_concurrence(sigma) for sigma in sector_states]
+        assume(all(abs(c) > CONCURRENCE_BAND for c in concurrences))
+        separable = all(c < 0.0 for c in concurrences)
+        event("separable" if separable else "entangled")
+        expected = VerdictStatus.SEPARABLE_CERTIFIED if separable else VerdictStatus.ENTANGLED_CERTIFIED
+        assert certify(rho, s).status is expected
+
+    def test_oracle_on_known_states(self):
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        assert wootters_concurrence(bell) == pytest.approx(1.0, abs=1e-12)
+        # Werner states are entangled exactly above p = 1/3
+        for p, sign in ((0.3, -1), (0.36, 1)):
+            werner = p * bell + (1 - p) * np.eye(4) / 4
+            assert np.sign(wootters_concurrence(werner)) == sign
+        product = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])).astype(complex)
+        assert wootters_concurrence(product) <= 0.0
 
 
 class TestType1Equivalence:
