@@ -253,7 +253,10 @@ def f_value(rho, obs: ChshObservables) -> float:
     return float(np.trace(mat @ chsh_op).real)
 
 
-def _validate_anchor(anchor: AnchorEntry, s: AdditiveStructure) -> None:
+def _validate_anchor(rho, anchor: AnchorEntry, s: AdditiveStructure) -> np.ndarray:
+    """The matrix of ``rho``, once its dims fit ``s`` and ``anchor`` is an anchor of ``s``."""
+    mat = _matrix_of(rho)
+    _check_dims(mat, s)
     m, p, n, q = anchor.m0, anchor.p0, anchor.n0, anchor.q0
     for party, idx, bound in (("Alice", m, s.d_a), ("Alice", n, s.d_a), ("Bob", p, s.d_b), ("Bob", q, s.d_b)):
         if not 0 <= idx < bound:
@@ -264,10 +267,16 @@ def _validate_anchor(anchor: AnchorEntry, s: AdditiveStructure) -> None:
         raise ValueError("anchor must be a crossed entry (M0+Q0 != J)")
     if not s._flat_flags[1][s.flat_index(n, q)]:
         raise ValueError("anchor column labels (N0, Q0) must be non-degenerate")
+    return mat
+
+
+def _f_max(a_abs: float, oz: float) -> float:
+    """2 * [1 + hypot(2|a|, <Oz>) - <Oz>], the closed-form CHSH maximum."""
+    return 2.0 * (1.0 + math.hypot(2.0 * a_abs, oz) - oz)
 
 
 def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, row: int, col: int) -> float:
-    """2 * [1 + hypot(2|a|, <Oz>) - <Oz>] for the anchor rho[row, col], from entries.
+    """``_f_max`` of the anchor rho[row, col], with <Oz> read from entries.
 
     ``diag`` is diag(rho) as d_a x d_b. After the anchor's reordering the
     diagonal entries in <Oz> sit at (m0,p0), (n0,q0) and in Bob's column p0
@@ -277,8 +286,7 @@ def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, row: int, col: int) ->
     (m0, p0), (n0, q0) = divmod(row, d_b), divmod(col, d_b)
     rest = [i for i in range(d_a) if i not in (m0, n0)]
     oz = float(diag[m0, p0] + diag[n0, q0] + np.sum(diag[rest, p0]))
-    a_abs = abs(mat[row, col])
-    return 2.0 * (1.0 + math.hypot(2.0 * a_abs, oz) - oz)
+    return _f_max(abs(mat[row, col]), oz)
 
 
 def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tuple[float, float, float]:
@@ -289,18 +297,13 @@ def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tu
     orders. ``diag`` is diag(rho) as d_a x d_b.
     """
     (m0, n0, *rest), (p0, q0, *_) = reorder.alice_order, reorder.bob_order
-    d_b = diag.shape[1]
+    rho4 = mat.reshape(*diag.shape, *diag.shape)  # rho4[m, p, n, q] = rho[(m, p), (n, q)]
     oz = float(
         (diag[m0, p0] - diag[m0, q0])
         + (diag[n0, q0] - diag[n0, p0])
         + np.sum(diag[rest, p0] - diag[rest, q0])
     )
-    rest_flats = np.asarray(rest, dtype=int) * d_b
-    cross = (
-        mat[m0 * d_b + p0, n0 * d_b + q0]
-        + mat[n0 * d_b + p0, m0 * d_b + q0]
-        + np.sum(mat[rest_flats + p0, rest_flats + q0])
-    )
+    cross = rho4[m0, p0, n0, q0] + rho4[n0, p0, m0, q0] + np.sum(rho4[rest, p0, rest, q0])
     return float(2.0 * cross.real), float(-2.0 * cross.imag), oz
 
 
@@ -312,14 +315,21 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     aligned angles are returned, and ``build_observables`` turns them into
     the settings.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    _validate_anchor(anchor, s)
-    reorder = reorder_basis(anchor, s)
-    d_a, d_b = s.d_a, s.d_b
-    diag = mat.diagonal().real.reshape(d_a, d_b)
-    f_max = _closed_form_f_max(mat, diag, anchor.row(d_b), anchor.col(d_b))
+    mat = _validate_anchor(rho, anchor, s)
+    diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
+    f_max = _closed_form_f_max(mat, diag, anchor.row(s.d_b), anchor.col(s.d_b))
+    return _certificate(mat, diag, anchor, f_max, s)
 
+
+def _certificate(
+    mat: np.ndarray, diag: np.ndarray, anchor: AnchorEntry, f_max: float, s: AdditiveStructure
+) -> ChshCertificate:
+    """The certificate of a checked ``anchor`` whose closed form is ``f_max``.
+
+    ``diag`` is diag(rho) as d_a x d_b. The angles align Bob's first setting
+    with (<Ox>, <Oy>, <Oz>) of the reordered state.
+    """
+    reorder = reorder_basis(anchor, s)
     ox, oy, oz = _o_vector(mat, diag, reorder)
     norm = math.sqrt(ox**2 + oy**2 + oz**2)
     if norm <= EPS_ZERO:
@@ -327,13 +337,7 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     else:
         theta_opt = math.acos(min(1.0, max(-1.0, oz / norm))) + 0.0
         phi_opt = math.atan2(oy, ox) + 0.0  # +0.0 folds -0.0 into 0.0
-    return ChshCertificate(
-        anchor=anchor,
-        reorder=reorder,
-        f_max=f_max,
-        theta_opt=theta_opt,
-        phi_opt=phi_opt,
-    )
+    return ChshCertificate(anchor, reorder, f_max, theta_opt, phi_opt)
 
 
 def _alice_contractions(mat: np.ndarray, reorder: BasisReordering) -> tuple[np.ndarray, np.ndarray]:
@@ -422,9 +426,7 @@ def grid_verify(
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least a 2x2 grid")
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    _validate_anchor(anchor, s)
+    mat = _validate_anchor(rho, anchor, s)
     corners, tails = _alice_contractions(mat, reorder_basis(anchor, s))
 
     thetas = np.linspace(0.0, math.pi, n_theta)
@@ -450,7 +452,10 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
     Absence of an anchor makes no locality claim; it only means this
     construction cannot certify a violation. Anchors are scanned in
     ascending flat order and ties in the maximum keep the first; only that
-    one is built as an ``AnchorEntry``.
+    one is built as an ``AnchorEntry``, and its certificate takes the
+    score the pick computed. The scan found the anchors with the predicate
+    and flags of ``f_max_closed_form``'s anchor check, so none is checked
+    again.
     """
     analysis = _analysis(rho, s)
     anchors = analysis.entries(*analysis.valid(tol).anchors)
@@ -459,4 +464,5 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
     mat = analysis.mat
     diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
     f_all = [_closed_form_f_max(mat, diag, row, col) for row, col, _ in anchors]
-    return f_max_closed_form(mat, _anchor_entry(*anchors[f_all.index(max(f_all))], s.d_b), s)
+    k = f_all.index(max(f_all))
+    return _certificate(mat, diag, _anchor_entry(*anchors[k], s.d_b), f_all[k], s)

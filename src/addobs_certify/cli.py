@@ -444,6 +444,13 @@ def _parse_zero_tol(text: str) -> float:
     return value
 
 
+def _parse_sigma(text: str) -> float:
+    value = _parse_finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def cmd_certify(args) -> int:
     structure, state = load_document(args.path)
     # this call, certify and certify_nonlocality share the state's analysis record
@@ -652,8 +659,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_higgs.add_argument("--a12", type=_parse_finite, help="measured a12 central value")
     p_higgs.add_argument("--a13", type=_parse_finite, help="measured a13 central value")
-    p_higgs.add_argument("--sigma12", type=_parse_finite, help="uncertainty on a12")
-    p_higgs.add_argument("--sigma13", type=_parse_finite, help="uncertainty on a13")
+    p_higgs.add_argument("--sigma12", type=_parse_sigma, help="uncertainty on a12")
+    p_higgs.add_argument("--sigma13", type=_parse_sigma, help="uncertainty on a13")
     p_higgs.add_argument(
         "--tables", action="store_true",
         help="reproduce the published pseudoexperiment tables",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chsh import _f_max
 from .linalg import _psd_min_eig
 from .structure import EPS_PSD, EPS_TR, AdditiveStructure, DensityMatrix
 
@@ -153,14 +154,12 @@ def rho_from_params(p: HiggsZZParams) -> tuple[DensityMatrix, AdditiveStructure]
 
 def f12(p: HiggsZZParams) -> float:
     """Closed-form CHSH maximum anchored on the a12 entry."""
-    s = p.a11 + p.a22
-    return 2.0 * (1.0 + math.hypot(2.0 * abs(p.a12), s) - s)
+    return _f_max(abs(p.a12), p.a11 + p.a22)
 
 
 def f13(p: HiggsZZParams) -> float:
     """Closed-form CHSH maximum anchored on the a13 entry."""
-    s = p.a11 + p.a33
-    return 2.0 * (1.0 + math.hypot(2.0 * abs(p.a13), s) - s)
+    return _f_max(abs(p.a13), p.a11 + p.a33)
 
 
 def f12_from_measured(abs_a12: float, abs_a13: float) -> float:

@@ -4,12 +4,19 @@
 # text and JSON. Each report must match tests/data/golden/ byte for byte
 # (cmp) and each exit code the case's expected code.
 #
-# Usage, from the repository root: bash tests/golden_cli.sh
+# Usage, from the repository root: bash tests/golden_cli.sh [COMMAND...]
+# COMMAND defaults to `python -m addobs_certify` run on the checkout's src/.
+# A given command, such as an installed `addobs-certify`, runs without src/
+# on PYTHONPATH, so it tests the installed package, not the checkout.
 set -u
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+if [ "$#" -eq 0 ]; then
+  export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+  set -- python -m addobs_certify
+fi
 
 # one line per case: command, document, report stem, exit code, extra arguments
-cases=$(PYTHONPATH="tests:$PYTHONPATH" python -c '
+# (read from the checkout's tests, whatever command runs them)
+cases=$(PYTHONPATH="tests:src${PYTHONPATH:+:$PYTHONPATH}" python -c '
 from test_golden import CASES, VALIDATE_CASES
 for command, cases in (("certify", CASES), ("validate", VALIDATE_CASES)):
     for doc, extra, stem, code in cases:
@@ -27,7 +34,7 @@ while read -r command doc stem code extra; do
     golden="tests/data/golden/$stem.$command.$ext"
     got=0
     # shellcheck disable=SC2086  # extra holds zero or more separate arguments
-    python -m addobs_certify "$command" "tests/data/$doc.json" --format "$fmt" $extra >"$out" || got=$?
+    "$@" "$command" "tests/data/$doc.json" --format "$fmt" $extra >"$out" || got=$?
     checked=$((checked + 1))
     if [ "$got" -ne "$code" ]; then
       echo "FAIL $command $stem ($fmt): exit $got, expected $code"

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from addobs_certify import chsh
 from addobs_certify.chsh import (
     AnchorEntry,
     TSIRELSON_BOUND,
@@ -576,3 +577,25 @@ class TestCertifyNonlocality:
         for anchor in find_anchor_entries(rho, s):
             other = f_max_closed_form(rho, anchor, s)
             assert other.f_max <= cert.f_max + 1e-15
+
+    def test_one_closed_form_per_anchor(self, monkeypatch):
+        # the pick's certificate takes the pick's own score: no second
+        # closed form, and no pass through the checking public entry point
+        rho, s = rho_from_params(params_from_measured(-0.33, 0.20))
+        n_anchors = len(find_anchor_entries(rho, s))
+        assert n_anchors > 1
+        calls = {"_closed_form_f_max": 0, "f_max_closed_form": 0}
+
+        def counted(name):
+            inner = getattr(chsh, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(chsh, name, counted(name))
+        assert certify_nonlocality(rho, s).f_max > 2.0
+        assert calls == {"_closed_form_f_max": n_anchors, "f_max_closed_form": 0}

@@ -228,6 +228,14 @@ class TestHiggs:
         assert cli.main(argv) == 1
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--sigma12", "--sigma13"])
+    @pytest.mark.parametrize("value", ["0", "-0.1"])
+    def test_nonpositive_sigma_usage_error(self, flag, value, capsys):
+        values = {"--a12": "0.3", "--a13": "0.2", flag: value}
+        argv = ["higgs", *(f"{k}={v}" for k, v in values.items())]
+        assert cli.main(argv) == 1
+        assert f"argument {flag}: must be positive" in capsys.readouterr().err
+
 
 class TestParsing:
     def test_unknown_command(self):

@@ -475,6 +475,84 @@ class TestType2Oracle:
         assert wootters_concurrence(product) <= 0.0
 
 
+PT_BAND = 1e-6
+
+
+@st.composite
+def two_by_three_sector_states(draw):
+    """States over one 2x3 or 3x2 shell sector, alone or beside a 1x1 sector.
+
+    Alice's label 0 (deg_a indices) meets Bob's label 0 (deg_b indices) on the
+    J = 0 shell, and the optional 1x1 sector pairs Alice's 1 with Bob's -1.
+    The state is block diagonal over the sectors, so it has no crossed entry:
+    either a random product mixture or w * sigma (+) (1 - w) with
+    sigma = p G G^dagger / Tr + (1 - p) 1/6 for a random G of rank 1-6 and
+    p >= 0.3. Returns the structure, the state, the 2x3 (or 3x2) sector's
+    (Alice, Bob) indices and whether the state is a product mixture.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    deg_a, deg_b = draw(st.sampled_from([(2, 3), (3, 2)]))
+    with_1x1 = draw(st.booleans())
+    s = AdditiveStructure((0.0,) * deg_a + (1.0,) * with_1x1, (0.0,) * deg_b + (-1.0,) * with_1x1, 0.0)
+    sector = (tuple(range(deg_a)), tuple(range(deg_b)))
+    if draw(st.booleans()):
+        return s, random_product_mixture(rng, s), sector, True
+    rank = draw(st.integers(1, 6))
+    g = rng.normal(size=(6, rank)) + 1j * rng.normal(size=(6, rank))
+    p = draw(st.floats(0.3, 1.0))
+    sigma = p * g @ g.conj().T / np.linalg.norm(g) ** 2 + (1.0 - p) * np.eye(6) / 6
+    mat = np.zeros((s.dim, s.dim), dtype=complex)
+    flats = [m * s.d_b + q for m in sector[0] for q in sector[1]]
+    w = rng.uniform(0.2, 1.0) if with_1x1 else 1.0
+    mat[np.ix_(flats, flats)] = w * sigma
+    if with_1x1:
+        mat[-1, -1] = 1.0 - w
+    return s, DensityMatrix(mat), sector, False
+
+
+def sector_pt_min_over_trace(mat: np.ndarray, alice, bob, d_b: int) -> float:
+    """lambda_min / Tr of the partial transpose over Bob of rho's block on alice x bob."""
+    flats = [m * d_b + q for m in alice for q in bob]
+    block = mat[np.ix_(flats, flats)].reshape(len(alice), len(bob), len(alice), len(bob))
+    pt = block.transpose(0, 3, 2, 1).reshape(len(flats), len(flats))
+    return float(np.linalg.eigvalsh(pt)[0] / np.trace(block.reshape(len(flats), len(flats))).real)
+
+
+class TestType2Oracle2x3:
+    @settings(max_examples=200, deadline=None)
+    @given(two_by_three_sector_states())
+    def test_verdict_follows_the_sector_partial_transpose(self, case):
+        # for 2x3 and 3x2 no concurrence-like closed form exists; the
+        # constructive cases: product mixtures are never certified entangled,
+        # and a sector whose own partial transpose dips below -PT_BAND is;
+        # one whose partial transpose stays above PT_BAND is separable
+        # (PPT is sufficient at 2x3, Horodecki, PLA 223, 1 (1996))
+        s, rho, (alice, bob), product = case
+        assert not find_crossed_entries(rho, s)
+        verdict = certify(rho, s)
+        if product:
+            event("product mixture")
+            assert verdict.status is VerdictStatus.SEPARABLE_CERTIFIED
+            return
+        ratio = sector_pt_min_over_trace(rho.matrix, alice, bob, s.d_b)
+        event("npt" if ratio < -PT_BAND else "ppt" if ratio > PT_BAND else "within the band")
+        if ratio > PT_BAND:
+            assert verdict.status is VerdictStatus.SEPARABLE_CERTIFIED
+        elif ratio < -PT_BAND:
+            assert verdict.status is VerdictStatus.ENTANGLED_CERTIFIED
+            assert isinstance(verdict.witness, BlockWitness)
+            assert (verdict.witness.sector.alice_indices, verdict.witness.sector.bob_indices) == (alice, bob)
+            assert verdict.witness.min_eigenvalue == pytest.approx(ratio, abs=1e-9)
+
+    def test_bell_pair_in_2x3_sector(self):
+        s = AdditiveStructure((0.0, 0.0), (0.0, 0.0, 0.0), 0.0)
+        mat = np.zeros((6, 6), dtype=complex)
+        mat[np.ix_([0, 4], [0, 4])] = 0.5
+        verdict = certify(DensityMatrix(mat), s)
+        assert verdict.status is VerdictStatus.ENTANGLED_CERTIFIED
+        assert verdict.witness.min_eigenvalue == pytest.approx(-0.5)
+
+
 class TestType1Equivalence:
     def test_verdict_matches_crossed_presence(self):
         rng = make_rng(12)

@@ -177,9 +177,9 @@ class TestFValues:
             rho, s = rho_from_params(params)
             anchors = {(a.m0, a.p0, a.n0, a.q0): a for a in find_anchor_entries(rho, s)}
             cert12 = f_max_closed_form(rho, anchors[(0, 2, 1, 1)], s)
-            assert cert12.f_max == pytest.approx(f12(params), abs=1e-10)
+            assert cert12.f_max == f12(params)
             cert13 = f_max_closed_form(rho, anchors[(0, 2, 2, 0)], s)
-            assert cert13.f_max == pytest.approx(f13(params), abs=1e-10)
+            assert cert13.f_max == f13(params)
 
     def test_any_nonzero_off_diagonal_certifies_entanglement(self):
         rng = make_rng(41)
