@@ -207,15 +207,28 @@ def _read_dense(raw: bytes):
         return None
 
     zero_row = opening + joint.join([zero] * dim) + b"}]"
-    spans, pos = [], value + 1  # (i, start, stop) of each row that is not all zero
+    # each list starts empty-typed, for a matrix without a nonzero entry
+    rows, cols, numbers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
+    pos = value + 1
     for i in range(dim):
         if raw.startswith(zero_row, pos):
             pos += len(zero_row)
         else:
             stop = raw.find(b"]", pos) + 1
-            if not stop:
+            # opening has no "}" or "]", so it and the "}]" cannot overlap
+            if not (stop and raw.startswith(opening, pos) and raw.endswith(b"}]", pos, stop)):
                 return None
-            spans.append((i, pos, stop))
+            parts = raw[pos + len(opening):stop - 2].split(joint)
+            if len(parts) != dim:
+                return None
+            col = [j for j, part in enumerate(parts) if part != zero]
+            texts = []
+            for j in col:
+                u, _, v = parts[j].partition(second_key)
+                texts += u, v
+            rows.append(np.full(len(col), i))
+            cols.append(np.array(col, np.intp))
+            numbers.append(b",".join(texts))
             pos = stop
         after = sep if i < dim - 1 else b"]"
         if not raw.startswith(after, pos):
@@ -223,24 +236,6 @@ def _read_dense(raw: bytes):
         pos += len(after)
     if pos != end - 1:
         return None
-
-    # each list starts empty-typed, for a matrix without a nonzero entry
-    rows, cols, numbers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
-    for i, start, stop in spans:
-        # opening has no "}" or "]", so it and the "}]" cannot overlap
-        if not (raw.startswith(opening, start) and raw.endswith(b"}]", start, stop)):
-            return None
-        parts = raw[start + len(opening):stop - 2].split(joint)
-        if len(parts) != dim:
-            return None
-        col = [j for j, part in enumerate(parts) if part != zero]
-        texts = []
-        for j in col:
-            u, _, v = parts[j].partition(second_key)
-            texts += u, v
-        rows.append(np.full(len(col), i))
-        cols.append(np.array(col, np.intp))
-        numbers.append(b",".join(texts))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     try:
         values = json.loads("[%s]" % b",".join(numbers).decode("utf-8"))
@@ -675,9 +670,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command == "higgs" and not args.tables and (args.a12 is None or args.a13 is None):
-        print("error: higgs needs --tables or both --a12 and --a13", file=sys.stderr)
-        return EXIT_USAGE
+    if args.command == "higgs":
+        if not args.tables and (args.a12 is None or args.a13 is None):
+            print("error: higgs needs --tables or both --a12 and --a13", file=sys.stderr)
+            return EXIT_USAGE
+        if args.tables and any(v is not None for v in (args.a12, args.a13, args.sigma12, args.sigma13)):
+            print("error: higgs --tables takes no --a12, --a13, --sigma12 or --sigma13", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except DocumentError as exc:

@@ -21,7 +21,9 @@ input varies within its rounding width.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,23 +110,18 @@ class HiggsCoefficients:
         return cls(a1_20, c_21_2m1, a1_20 / SQRT2 + 1.0, parity_enforced=True)
 
 
+def _parity_params(a11: float, a12: float, a13: float) -> HiggsZZParams:
+    """The parity-respecting core: a33 = a11, a23 = a12, unit trace."""
+    return HiggsZZParams(a11, 1.0 - 2.0 * a11, a11, complex(a12), complex(a13), complex(a12))
+
+
 def params_from_coefficients(c: HiggsCoefficients) -> HiggsZZParams:
     """Core entries from the angular coefficients.
 
     a12 = a23 = c_21/3, a11 = a33 = (a1_20/sqrt(2) + 1)/3, a13 = c_22/3,
     and a22 completes the unit trace.
     """
-    a11 = (c.a1_20 / SQRT2 + 1.0) / 3.0
-    a12 = c.c_21_2m1 / 3.0
-    a13 = c.c_22_2m2 / 3.0
-    return HiggsZZParams(
-        a11=a11,
-        a22=1.0 - 2.0 * a11,
-        a33=a11,
-        a12=complex(a12),
-        a13=complex(a13),
-        a23=complex(a12),
-    )
+    return _parity_params((c.a1_20 / SQRT2 + 1.0) / 3.0, c.c_21_2m1 / 3.0, c.c_22_2m2 / 3.0)
 
 
 def params_from_measured(a12: float, a13: float) -> HiggsZZParams:
@@ -133,15 +130,7 @@ def params_from_measured(a12: float, a13: float) -> HiggsZZParams:
     Parity pins the diagonal to the |a13| magnitude (a11 = a33 = |a13|),
     which is how the published pseudoexperiment columns are interpreted.
     """
-    mag13 = abs(a13)
-    return HiggsZZParams(
-        a11=mag13,
-        a22=1.0 - 2.0 * mag13,
-        a33=mag13,
-        a12=complex(a12),
-        a13=complex(mag13),
-        a23=complex(a12),
-    )
+    return _parity_params(abs(a13), a12, abs(a13))
 
 
 def rho_from_params(p: HiggsZZParams) -> tuple[DensityMatrix, AdditiveStructure]:
@@ -163,13 +152,21 @@ def f13(p: HiggsZZParams) -> float:
 
 
 def f12_from_measured(abs_a12: float, abs_a13: float) -> float:
-    """Parity-reduced F_12 as a function of the measured magnitudes."""
-    return 2.0 * (math.hypot(2.0 * abs_a12, 1.0 - abs_a13) + abs_a13)
+    """Parity-reduced F_12 as a function of the measured magnitudes.
+
+    The arithmetic of ``f12(params_from_measured(a12, a13))``, bit for bit,
+    without the core's positivity check.
+    """
+    return _f_max(abs_a12, abs_a13 + (1.0 - 2.0 * abs_a13))
 
 
 def f13_from_measured(abs_a13: float) -> float:
-    """Parity-reduced F_13: the excess over 2 is proportional to |a13|."""
-    return 2.0 + 4.0 * abs_a13 * (SQRT2 - 1.0)
+    """Parity-reduced F_13 = 2 + 4 (sqrt(2) - 1) |a13|.
+
+    The arithmetic of ``f13(params_from_measured(a12, a13))``, bit for bit,
+    without the core's positivity check.
+    """
+    return _f_max(abs_a13, abs_a13 + abs_a13)
 
 
 @dataclass(frozen=True)
@@ -290,26 +287,15 @@ class TablesReport:
         ]
 
 
-def _f12_interval(a12: Measurement, a13: Measurement, delta: float = INPUT_ROUNDING) -> tuple[float, float]:
-    c12, c13 = abs(a12.central), abs(a13.central)
-    corners = [
-        f12_from_measured(x, y)
-        for x in (max(c12 - delta, 0.0), c12 + delta)
-        for y in (max(c13 - delta, 0.0), c13 + delta)
-    ]
-    return (min(corners), max(corners))
+def _interval(f, *inputs: tuple[float, float]) -> tuple[float, float]:
+    """Least and greatest value of ``f`` over the corners of the rounding box.
 
-
-def _f13_interval(a13: Measurement, delta: float = INPUT_ROUNDING) -> tuple[float, float]:
-    c13 = abs(a13.central)
-    return (f13_from_measured(max(c13 - delta, 0.0)), f13_from_measured(c13 + delta))
-
-
-def _sig_interval(m: Measurement, delta: float = INPUT_ROUNDING) -> tuple[float, float]:
-    c = abs(m.central)
-    lo = max(c - delta, 0.0) / (m.sigma + delta)
-    hi = (c + delta) / max(m.sigma - delta, 1e-12)
-    return (lo, hi)
+    Each ``(c, floor)`` input ranges over [max(c - INPUT_ROUNDING, floor),
+    c + INPUT_ROUNDING].
+    """
+    sides = [(max(c - INPUT_ROUNDING, floor), c + INPUT_ROUNDING) for c, floor in inputs]
+    values = [f(*corner) for corner in itertools.product(*sides)]
+    return (min(values), max(values))
 
 
 def reproduce_tables() -> TablesReport:
@@ -323,11 +309,15 @@ def reproduce_tables() -> TablesReport:
     for table in TABLES:
         for col in table.columns:
             c12, c13 = abs(col.a12.central), abs(col.a13.central)
+            f12_box = _interval(f12_from_measured, (c12, 0.0), (c13, 0.0))
+            f13_box = _interval(f13_from_measured, (c13, 0.0))
+            sig12_box = _interval(operator.truediv, (c12, 0.0), (col.a12.sigma, 1e-12))
+            sig13_box = _interval(operator.truediv, (c13, 0.0), (col.a13.sigma, 1e-12))
             checks = (
-                ValueCheck("F12", f12_from_measured(c12, c13), _f12_interval(col.a12, col.a13), col.printed_f12, 0.005),
-                ValueCheck("sig12", significance(col.a12), _sig_interval(col.a12), col.printed_sig12, 0.05),
-                ValueCheck("F13", f13_from_measured(c13), _f13_interval(col.a13), col.printed_f13, 0.005),
-                ValueCheck("sig13", significance(col.a13), _sig_interval(col.a13), col.printed_sig13, 0.05),
+                ValueCheck("F12", f12_from_measured(c12, c13), f12_box, col.printed_f12, 0.005),
+                ValueCheck("sig12", significance(col.a12), sig12_box, col.printed_sig12, 0.05),
+                ValueCheck("F13", f13_from_measured(c13), f13_box, col.printed_f13, 0.005),
+                ValueCheck("sig13", significance(col.a13), sig13_box, col.printed_sig13, 0.05),
             )
             reports.append(
                 ColumnReport(table.label, col.cut_gev, col.n_events, col.a12, col.a13, checks)

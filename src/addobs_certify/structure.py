@@ -637,9 +637,11 @@ def pt_block_decomposition(rho, s: AdditiveStructure, zero_tol: float = EPS_ZERO
     """Block decomposition of the partial transpose forced by the texture.
 
     Requires a texture-valid input (raises ``TextureError`` otherwise).
-    Together with the remaining structurally-zero entries the returned
-    blocks reconstruct rho^{T2} exactly; sector blocks carry the whole
-    trace, cross blocks are traceless.
+    When no off-texture entry of rho is nonzero, the returned blocks,
+    together with the remaining structurally-zero entries, reconstruct
+    rho^{T2} exactly. An off-texture entry at or below ``zero_tol`` passes
+    the texture check but lies in no block, so ``assemble`` misses it.
+    Sector blocks carry the whole trace, cross blocks are traceless.
     """
     analysis = _analysis(rho, s)
     analysis.valid(zero_tol)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run the shipped entry point, `python -m addobs_certify certify` and
-# `... validate`, as a subprocess on every case of tests/test_golden.py, in
+# Run the shipped entry point, `python -m addobs_certify certify`, `... validate`
+# and `... higgs`, as a subprocess on every case of tests/test_golden.py, in
 # text and JSON. Each report must match tests/data/golden/ byte for byte
 # (cmp) and each exit code the case's expected code.
 #
@@ -14,13 +14,16 @@ if [ "$#" -eq 0 ]; then
   set -- python -m addobs_certify
 fi
 
-# one line per case: command, document, report stem, exit code, extra arguments
-# (read from the checkout's tests, whatever command runs them)
+# one line per case: command, report stem, exit code, arguments (the document
+# first, for certify and validate; read from the checkout's tests, whatever
+# command runs them)
 cases=$(PYTHONPATH="tests:src${PYTHONPATH:+:$PYTHONPATH}" python -c '
-from test_golden import CASES, VALIDATE_CASES
+from test_golden import CASES, HIGGS_CASES, VALIDATE_CASES
 for command, cases in (("certify", CASES), ("validate", VALIDATE_CASES)):
     for doc, extra, stem, code in cases:
-        print(command, doc, stem, code, *extra)
+        print(command, stem, code, f"tests/data/{doc}.json", *extra)
+for extra, stem, code in HIGGS_CASES:
+    print("higgs", stem, code, *extra)
 ') || exit 1
 [ -n "$cases" ] || { echo "no golden cases found"; exit 1; }
 
@@ -28,13 +31,13 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 failed=0
 checked=0
-while read -r command doc stem code extra; do
+while read -r command stem code args; do
   for fmt in text json; do
     ext=$([ "$fmt" = text ] && echo txt || echo json)
     golden="tests/data/golden/$stem.$command.$ext"
     got=0
-    # shellcheck disable=SC2086  # extra holds zero or more separate arguments
-    "$@" "$command" "tests/data/$doc.json" --format "$fmt" $extra >"$out" || got=$?
+    # shellcheck disable=SC2086  # args holds one or more separate arguments
+    "$@" "$command" $args --format "$fmt" >"$out" || got=$?
     checked=$((checked + 1))
     if [ "$got" -ne "$code" ]; then
       echo "FAIL $command $stem ($fmt): exit $got, expected $code"

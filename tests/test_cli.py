@@ -218,6 +218,13 @@ class TestHiggs:
     def test_missing_values_usage_error(self, capsys):
         assert cli.main(["higgs"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--a12", "--a13", "--sigma12", "--sigma13"])
+    def test_tables_with_measurement_flag_usage_error(self, flag, capsys):
+        assert cli.main(["higgs", "--tables", flag, "0.9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tables takes no" in captured.err
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--a12", "nan"), ("--a13", "inf"), ("--sigma12", "inf"), ("--sigma13", "nan"), ("--a12", "-inf")],

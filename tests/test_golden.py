@@ -1,4 +1,4 @@
-"""Certify and validate reports on fixed documents, byte for byte.
+"""Certify and validate reports on fixed documents, and higgs reports, byte for byte.
 
 ``tests/data/*.json`` are state documents and ``tests/data/golden/`` holds
 the reports the CLI printed for them (see ``tests/data/README.md``). Any
@@ -40,6 +40,13 @@ VALIDATE_CASES = [
     ("chain3_invalid", [], "chain3_invalid", 2),
 ]
 
+#: ``higgs`` arguments, report stem and exit code. A non-PSD core prints
+#: nothing on stdout (its error goes to stderr).
+HIGGS_CASES = [
+    (["--tables"], "tables", 0),
+    (["--a12", "-0.33", "--a13", "0.20", "--sigma12", "0.10", "--sigma13", "0.12"], "measured", 0),
+    (["--a12", "0.9", "--a13", "0.5"], "non_psd", 2),
+]
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
 @pytest.mark.parametrize("doc, extra, stem, code", CASES, ids=[c[2] for c in CASES])
@@ -56,6 +63,14 @@ def test_validate_report_is_byte_identical(doc, extra, stem, code, fmt, suffix, 
     argv = ["validate", str(DATA / f"{doc}.json"), "--format", fmt, *extra]
     assert cli.main(argv) == code
     expected = (DATA / "golden" / f"{stem}.validate.{suffix}").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("extra, stem, code", HIGGS_CASES, ids=[c[1] for c in HIGGS_CASES])
+def test_higgs_report_is_byte_identical(extra, stem, code, fmt, suffix, capsys):
+    assert cli.main(["higgs", *extra, "--format", fmt]) == code
+    expected = (DATA / "golden" / f"{stem}.higgs.{suffix}").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 

@@ -145,6 +145,16 @@ class TestFValues:
         assert f12(params) == pytest.approx(f12_from_measured(0.33, 0.20), abs=1e-12)
         assert f13(params) == pytest.approx(f13_from_measured(0.20), abs=1e-12)
 
+    def test_tables_use_the_params_route_bit_for_bit(self):
+        # the measured route is the closed form of the parity core, not a
+        # second formula, so `higgs --tables` and `higgs --a12 --a13` agree
+        for col in reproduce_tables().columns:
+            params = params_from_measured(col.a12.central, col.a13.central)
+            mag12, mag13 = abs(col.a12.central), abs(col.a13.central)
+            computed = {check.name: check.computed for check in col.checks}
+            assert computed["F12"] == f12_from_measured(mag12, mag13) == f12(params)
+            assert computed["F13"] == f13_from_measured(mag13) == f13(params)
+
     def test_parity_identity(self):
         # general expression vs the parity-reduced one, across the physical range
         for mag13 in (0.05, 0.1, 0.2, 0.3):

@@ -595,6 +595,18 @@ class TestPtBlockDecomposition:
             expected = partial_transpose(rho.matrix, s.d_a, s.d_b)
             np.testing.assert_array_equal(decomp.assemble(), expected)
 
+    def test_off_texture_entry_below_tolerance_lies_in_no_block(self):
+        # texture-valid (1e-13 <= zero_tol), but rho^{T2} moves the entry to
+        # a position joining a sector block and a cross block: in neither
+        s, bell = bell_system()
+        mat = bell.matrix.copy()
+        mat[0, 1] = mat[1, 0] = 1e-13
+        rho = DensityMatrix(mat)
+        validate_additivity(rho, s)
+        gap = pt_block_decomposition(rho, s).assemble() - partial_transpose(mat, s.d_a, s.d_b)
+        assert np.count_nonzero(gap) == 2
+        assert np.abs(gap).max() == 1e-13
+
     def test_type_a_traces_sum_to_one(self):
         rng = make_rng(4)
         for _ in range(25):
