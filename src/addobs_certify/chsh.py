@@ -14,7 +14,11 @@ closed-form maximum over the angles:
 
     max F = 2 * [1 + sqrt(4*|anchor|^2 + <Oz>^2) - <Oz>],
 
-strictly above the classical bound 2 whenever the anchor entry is nonzero.
+strictly above the classical bound 2, for an exact texture, whenever the
+anchor entry is nonzero. With entries off the texture (up to ``zero_tol``)
+the certificate takes fMax and the angles from one expectation vector read
+from all of rho, so fMax is the state's maximum over the angles (exact up
+to the trace tolerance) and can be 2 or less.
 A grid maximizer over the raw trace expression serves as an independent
 numerical cross-check of the closed form. It contracts the state with
 Alice's two settings into two Bob operators W1, W2 and scores each angle
@@ -130,8 +134,10 @@ class ChshCertificate:
     ``theta_opt``, ``phi_opt`` decide the certificate; no settings matrix is
     kept. ``build_observables(theta_opt, phi_opt, d_a, d_b)`` gives the four
     settings, which act in the reordered basis described by ``reorder``.
-    ``f_max`` exceeds 2 exactly when the anchor entry is nonzero and never
-    exceeds the Tsirelson bound 2*sqrt(2).
+    For an exact texture ``f_max`` exceeds 2 exactly when the anchor entry
+    is nonzero. Otherwise it is the state's maximum over the angle family,
+    exact up to the trace tolerance, and can be 2 or less. It never exceeds
+    the Tsirelson bound 2*sqrt(2).
     """
 
     anchor: AnchorEntry
@@ -237,8 +243,8 @@ def o_expectations(rho, d_a: int, d_b: int) -> OExpectations:
         )
     diag = mat.diagonal().real.reshape(d_a, d_b)
     o0 = float(np.sum(diag[0, 2:]) - np.sum(diag[1, 2:]) + np.sum(diag[2:, 2:]))
-    ox, oy, oz = _o_vector(mat, diag, BasisReordering(tuple(range(d_a)), tuple(range(d_b))))
-    return OExpectations(o0=o0, ox=ox, oy=oy, oz=oz)
+    c, oz, _ = _o_vector(mat, diag, BasisReordering(tuple(range(d_a)), tuple(range(d_b))))
+    return OExpectations(o0=o0, ox=float(2.0 * c.real), oy=float(-2.0 * c.imag), oz=oz)
 
 
 def f_value(rho, obs: ChshObservables) -> float:
@@ -289,12 +295,17 @@ def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, row: int, col: int) ->
     return _f_max(abs(mat[row, col]), oz)
 
 
-def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tuple[float, float, float]:
-    """(<Ox>, <Oy>, <Oz>) of the reordered state, without reordering ``mat``.
+def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tuple[complex, float, float]:
+    """(c, <Oz>, leak) of the reordered state, without reordering ``mat``.
 
-    Reads the entries of ``reorder.apply(mat)`` that the sums need through
-    the basis orders instead; ``o_expectations`` passes the identity
-    orders. ``diag`` is diag(rho) as d_a x d_b.
+    (<Ox>, <Oy>) = (2 Re c, -2 Im c) for the coherence c, and <O0> =
+    Tr rho - <Oz> - 2 leak, where leak is the diagonal weight in Alice's
+    row n0 and Bob's column q0 off the pair (n0, q0). For an anchor (N0, Q0)
+    is non-degenerate, so every pair there is off the shell: an exact
+    texture has leak 0.0 and c = the anchor entry. Reads the entries of
+    ``reorder.apply(mat)`` that the sums need through the basis orders
+    instead; ``o_expectations`` passes the identity orders. ``diag`` is
+    diag(rho) as d_a x d_b.
     """
     (m0, n0, *rest), (p0, q0, *_) = reorder.alice_order, reorder.bob_order
     rho4 = mat.reshape(*diag.shape, *diag.shape)  # rho4[m, p, n, q] = rho[(m, p), (n, q)]
@@ -303,8 +314,10 @@ def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tu
         + (diag[n0, q0] - diag[n0, p0])
         + np.sum(diag[rest, p0] - diag[rest, q0])
     )
-    cross = rho4[m0, p0, n0, q0] + rho4[n0, p0, m0, q0] + np.sum(rho4[rest, p0, rest, q0])
-    return float(2.0 * cross.real), float(-2.0 * cross.imag), oz
+    leak = float(np.sum(diag[n0]) + np.sum(diag[:, q0]) - 2.0 * diag[n0, q0])
+    # a numpy scalar: its abs is the anchor entry's, bit for bit, on an exact texture
+    c = rho4[m0, p0, n0, q0] + rho4[n0, p0, m0, q0] + np.sum(rho4[rest, p0, rest, q0])
+    return c, oz, leak
 
 
 def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCertificate:
@@ -316,28 +329,30 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     the settings.
     """
     mat = _validate_anchor(rho, anchor, s)
-    diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
-    f_max = _closed_form_f_max(mat, diag, anchor.row(s.d_b), anchor.col(s.d_b))
-    return _certificate(mat, diag, anchor, f_max, s)
+    return _certificate(mat, mat.diagonal().real.reshape(s.d_a, s.d_b), anchor, s)
 
 
 def _certificate(
-    mat: np.ndarray, diag: np.ndarray, anchor: AnchorEntry, f_max: float, s: AdditiveStructure
+    mat: np.ndarray, diag: np.ndarray, anchor: AnchorEntry, s: AdditiveStructure
 ) -> ChshCertificate:
-    """The certificate of a checked ``anchor`` whose closed form is ``f_max``.
+    """The certificate of a checked ``anchor``.
 
-    ``diag`` is diag(rho) as d_a x d_b. The angles align Bob's first setting
-    with (<Ox>, <Oy>, <Oz>) of the reordered state.
+    ``diag`` is diag(rho) as d_a x d_b. fMax and the angles come from one
+    expectation vector: max over the angles of 2 * [<O0> + |(<Ox>, <Oy>,
+    <Oz>)|] is ``_f_max(|c|, <Oz>) - 4 * leak`` with Tr rho taken as 1 (see
+    ``_o_vector``), attained where Bob's first setting aligns with that
+    vector.
     """
     reorder = reorder_basis(anchor, s)
-    ox, oy, oz = _o_vector(mat, diag, reorder)
+    c, oz, leak = _o_vector(mat, diag, reorder)
+    ox, oy = float(2.0 * c.real), float(-2.0 * c.imag)
     norm = math.sqrt(ox**2 + oy**2 + oz**2)
     if norm <= EPS_ZERO:
         theta_opt, phi_opt = 0.0, 0.0
     else:
         theta_opt = math.acos(min(1.0, max(-1.0, oz / norm))) + 0.0
         phi_opt = math.atan2(oy, ox) + 0.0  # +0.0 folds -0.0 into 0.0
-    return ChshCertificate(anchor, reorder, f_max, theta_opt, phi_opt)
+    return ChshCertificate(anchor, reorder, _f_max(abs(c), oz) - 4.0 * leak, theta_opt, phi_opt)
 
 
 def _alice_contractions(mat: np.ndarray, reorder: BasisReordering) -> tuple[np.ndarray, np.ndarray]:
@@ -451,11 +466,13 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
 
     Absence of an anchor makes no locality claim; it only means this
     construction cannot certify a violation. Anchors are scanned in
-    ascending flat order and ties in the maximum keep the first; only that
-    one is built as an ``AnchorEntry``, and its certificate takes the
-    score the pick computed. The scan found the anchors with the predicate
-    and flags of ``f_max_closed_form``'s anchor check, so none is checked
-    again.
+    ascending flat order and ranked by the closed form of the anchor entry;
+    ties in the maximum keep the first, and only that one is built as an
+    ``AnchorEntry``. Its certificate is ``f_max_closed_form``'s: for an
+    exact texture fMax is the pick's score, bit for bit, and exceeds 2;
+    otherwise see ``ChshCertificate``. The scan found the anchors with the
+    predicate and flags of ``f_max_closed_form``'s anchor check, so none is
+    checked again.
     """
     analysis = _analysis(rho, s)
     anchors = analysis.entries(*analysis.valid(tol).anchors)
@@ -464,5 +481,4 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
     mat = analysis.mat
     diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
     f_all = [_closed_form_f_max(mat, diag, row, col) for row, col, _ in anchors]
-    k = f_all.index(max(f_all))
-    return _certificate(mat, diag, _anchor_entry(*anchors[k], s.d_b), f_all[k], s)
+    return _certificate(mat, diag, _anchor_entry(*anchors[f_all.index(max(f_all))], s.d_b), s)

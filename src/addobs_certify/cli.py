@@ -332,28 +332,35 @@ def _violation_dict(v: TextureViolation) -> dict:
     }
 
 
-def _witness_dict(witness) -> dict | None:
-    if witness is None:
-        return None
+def _witness_report(witness) -> tuple[dict | None, list[str]]:
+    """The witness's JSON value and its text lines: ``None`` and none for no witness."""
     if isinstance(witness, CrossedEntry):
+        value = witness.value
         return {
             "alice": list(witness.alice),
             "bob": list(witness.bob),
             "col": witness.col,
             "kind": "crossed_entry",
             "row": witness.row,
-            "value": _complex_dict(witness.value),
-        }
+            "value": _complex_dict(value),
+        }, [
+            f"witness: crossed entry rho[({witness.alice[0]},{witness.bob[0]}),"
+            f"({witness.alice[1]},{witness.bob[1]})] = {value.real:.12g}{value.imag:+.12g}j"
+        ]
     if isinstance(witness, BlockWitness):
+        sector = witness.sector
         return {
-            "degM": witness.sector.deg_m,
-            "degQ": witness.sector.deg_q,
+            "degM": sector.deg_m,
+            "degQ": sector.deg_q,
             "kind": "ppt_block",
-            "mValue": witness.sector.m_value,
+            "mValue": sector.m_value,
             "minEigenvalue": witness.min_eigenvalue,
-            "qValue": witness.sector.q_value,
-        }
-    raise TypeError(f"unknown witness type {type(witness).__name__}")
+            "qValue": sector.q_value,
+        }, [
+            f"witness: PPT block (M={sector.m_value:.12g}, Q={sector.q_value:.12g})"
+            f" min eigenvalue {witness.min_eigenvalue:.12g}"
+        ]
+    return None, []
 
 
 def _certificate_dict(cert: ChshCertificate, grid: dict | None) -> dict:
@@ -464,6 +471,7 @@ def cmd_certify(args) -> int:
     classes = classify_sectors(structure)
     cert = certify_nonlocality(state, structure, args.zero_tol)
 
+    witness, witness_lines = _witness_report(verdict.witness)
     grid_info = None
     if cert is not None and args.grid is not None:
         n_theta, n_phi = args.grid
@@ -479,7 +487,7 @@ def cmd_certify(args) -> int:
         "chshCertificate": None if cert is None else _certificate_dict(cert, grid_info),
         "entanglementVerdict": {
             "status": verdict.status.value,
-            "witness": _witness_dict(verdict.witness),
+            "witness": witness,
         },
         "minPtEigenvalue": verdict.min_pt_eigenvalue,
         "reducedPurities": {"A": purity_a, "B": purity_b},
@@ -497,19 +505,7 @@ def cmd_certify(args) -> int:
         "toolVersion": __version__,
     }
 
-    lines = ["texture: VALID", f"verdict: {verdict.status.value}"]
-    if isinstance(verdict.witness, CrossedEntry):
-        w = verdict.witness
-        lines.append(
-            f"witness: crossed entry rho[({w.alice[0]},{w.bob[0]}),({w.alice[1]},{w.bob[1]})]"
-            f" = {w.value.real:.12g}{w.value.imag:+.12g}j"
-        )
-    elif isinstance(verdict.witness, BlockWitness):
-        w = verdict.witness
-        lines.append(
-            f"witness: PPT block (M={w.sector.m_value:.12g}, Q={w.sector.q_value:.12g})"
-            f" min eigenvalue {w.min_eigenvalue:.12g}"
-        )
+    lines = ["texture: VALID", f"verdict: {verdict.status.value}", *witness_lines]
     lines.append(f"min PT eigenvalue: {verdict.min_pt_eigenvalue:.12g}")
     lines.append(f"reduced purity: A = {purity_a:.12g}  B = {purity_b:.12g}")
     lines.append(

@@ -78,6 +78,10 @@ class BlockWitness:
 
 @dataclass(frozen=True)
 class EntanglementVerdict:
+    """A verdict of ``certify``. ``witness`` is None for a separable or
+    inconclusive verdict, and for an entangled one that the min PT alone
+    decided."""
+
     status: VerdictStatus
     witness: CrossedEntry | BlockWitness | None
     min_pt_eigenvalue: float
@@ -143,16 +147,26 @@ def certify(
 
     1. any crossed entry certifies entanglement (the witness is the one of
        largest magnitude, the first in ascending flat order on ties);
-    2. otherwise, if every shell sector is TYPE1 the state is certified
-       separable;
-    3. otherwise the PPT spectrum of each non-TYPE1 sector block decides:
-       a negative block certifies entanglement; if none is negative and no
-       sector is LARGE, the state is certified separable;
-    4. with LARGE sectors and all blocks nonnegative no certification is
-       possible and the verdict is inconclusive (PPT passes).
+    2. otherwise the PPT spectrum of each non-TYPE1 sector block of weight
+       above ``tol`` decides: the lowest unit-trace minimum below
+       -``psd_tol`` certifies entanglement (the witness is that block);
+    3. otherwise a minimum eigenvalue of the full partial transpose below
+       -``psd_tol`` certifies entanglement (Peres), with no witness: the
+       reported minimum is the certificate. A sector block that low is
+       caught by rung 2 already (a TYPE1 block has the spectrum of a
+       principal submatrix of rho, and a unit-trace minimum is at most the
+       raw one), so this rung fires on cross blocks whose crossed entries
+       are at or below ``tol``, on sector blocks of weight at or below
+       ``tol``, or on the dense path, where no block is known;
+    4. otherwise the state is certified separable when no sector is LARGE
+       (TYPE1 sectors are separable, TYPE2 ones are decided by block PPT);
+       with LARGE sectors no certification is possible and the verdict is
+       inconclusive (PPT passes).
 
     The minimum eigenvalue of the full partial transpose is reported in
-    every case. ``psd_tol`` must be finite and nonnegative.
+    every case, and no separable or PPT-passing verdict stands beside one
+    below -``psd_tol``. At ``psd_tol`` 0 rounding can decide rungs 2 and 3.
+    ``psd_tol`` must be finite and nonnegative.
     """
     _check_tol("psd_tol", psd_tol)
     analysis = _analysis(rho, s)
@@ -182,6 +196,8 @@ def certify(
             worst = BlockWitness(cls.sector, low)
     if worst is not None:
         return EntanglementVerdict(VerdictStatus.ENTANGLED_CERTIFIED, worst, min_pt)
+    if min_pt < -psd_tol:  # Peres: the reported min PT itself proves entanglement
+        return EntanglementVerdict(VerdictStatus.ENTANGLED_CERTIFIED, None, min_pt)
     if any(c.kind is SectorKind.LARGE for c in classes):
         return EntanglementVerdict(VerdictStatus.INCONCLUSIVE_PPT_PASSES, None, min_pt)
     return EntanglementVerdict(VerdictStatus.SEPARABLE_CERTIFIED, None, min_pt)

@@ -77,8 +77,11 @@ def _check_tol(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def _group_labels(values: tuple[float, ...], eps: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Each value's group number and the groups' representatives, ascending.
+def _group_labels(
+    values: tuple[float, ...], eps: float
+) -> tuple[tuple[int, ...], tuple[tuple[float, tuple[int, ...]], ...]]:
+    """Each value's group number, and every group's (representative,
+    indices), groups and indices ascending.
 
     A value within eps of its group's representative, the smallest value of
     the group, joins that group.
@@ -89,15 +92,11 @@ def _group_labels(values: tuple[float, ...], eps: float) -> tuple[tuple[int, ...
         if not reps or value - reps[-1] > eps:
             reps.append(value)
         group[value] = len(reps) - 1
-    return tuple(map(group.__getitem__, values)), tuple(reps)
-
-
-def _groups(group_of: tuple[int, ...], reps: tuple[float, ...]) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    """(representative, indices) of each label group, indices ascending."""
+    group_of = tuple(map(group.__getitem__, values))
     members: list[list[int]] = [[] for _ in reps]
     for i, g in enumerate(group_of):
         members[g].append(i)
-    return tuple(zip(reps, map(tuple, members)))
+    return group_of, tuple(zip(reps, map(tuple, members)))
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,15 @@ class AdditiveStructure:
     ``j_alice[m]`` is the J_A eigenvalue of Alice's m-th basis state and
     ``j_bob[p]`` Bob's; ``j_total`` is the definite value of J_A + J_B.
 
-    Labels are grouped once: a label within ``eps_j`` of the smallest label
-    of its group joins that group (``alice_groups``, ``bob_groups``), and the
-    smallest label represents it. Two groups meet on the shell M + P = J
-    when their representatives sum to J within ``eps_j``; every label test
-    reads this one table. It must be nonempty (else no state satisfies the
-    constraint) and a partial matching (a group meeting two groups of the
-    other party makes the texture ambiguous), or ``ValueError`` is raised.
+    Labels are grouped once, at construction: a label within ``eps_j`` of
+    the smallest label of its group joins that group, and the smallest label
+    represents it. ``alice_groups`` and ``bob_groups`` hold each group's
+    (representative, indices), both ascending; a label's degeneracy is its
+    group's size. Two groups meet on the shell M + P = J when their
+    representatives sum to J within ``eps_j``; every label test reads this
+    one table. It must be nonempty (else no state satisfies the constraint)
+    and a partial matching (a group meeting two groups of the other party
+    makes the texture ambiguous), or ``ValueError`` is raised.
     """
 
     j_alice: tuple[float, ...]
@@ -129,13 +130,13 @@ class AdditiveStructure:
             raise ValueError("eigenvalue labels must be finite")
         if not j_alice or not j_bob:
             raise ValueError("each party needs at least one basis label")
-        alice_of, alice_reps = _group_labels(j_alice, eps)
-        bob_of, bob_reps = _group_labels(j_bob, eps)
+        alice_of, alice_groups = _group_labels(j_alice, eps)
+        bob_of, bob_groups = _group_labels(j_bob, eps)
         # the shell table: the Bob group on the shell with each Alice group
         # and the Alice group on the shell with each Bob group, or -1
-        bob_match, alice_match = [-1] * len(alice_reps), [-1] * len(bob_reps)
-        for a, m_value in enumerate(alice_reps):
-            for b, p_value in enumerate(bob_reps):
+        bob_match, alice_match = [-1] * len(alice_groups), [-1] * len(bob_groups)
+        for a, (m_value, _) in enumerate(alice_groups):
+            for b, (p_value, _) in enumerate(bob_groups):
                 if abs(m_value + p_value - j_total) <= eps:
                     if bob_match[a] >= 0 or alice_match[b] >= 0:
                         raise ValueError(
@@ -148,7 +149,7 @@ class AdditiveStructure:
         # one dict update past the frozen __setattr__: construction cost counts
         self.__dict__.update(
             j_alice=j_alice, j_bob=j_bob, j_total=j_total,
-            _alice_of=alice_of, _alice_reps=alice_reps, _bob_of=bob_of, _bob_reps=bob_reps,
+            alice_groups=alice_groups, bob_groups=bob_groups, _alice_of=alice_of, _bob_of=bob_of,
             _bob_match=tuple(bob_match), _alice_match=tuple(alice_match),
         )
 
@@ -185,14 +186,6 @@ class AdditiveStructure:
     @cached_property
     def shell_flats(self) -> tuple[int, ...]:
         return tuple(self.flat_index(m, p) for m, p in self.shell_pairs)
-
-    @cached_property
-    def alice_groups(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
-        return _groups(self._alice_of, self._alice_reps)
-
-    @cached_property
-    def bob_groups(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
-        return _groups(self._bob_of, self._bob_reps)
 
     @cached_property
     def _flat_flags(self) -> tuple[np.ndarray, np.ndarray]:
@@ -243,26 +236,6 @@ class AdditiveStructure:
             rows, cols = alice[:, None] + bob[None, :], alice[None, :] + bob[:, None]
             blocks.append(_PtBlock(sec, partner, flats_mq, flats_np, rows, cols))
         return tuple(blocks)
-
-    def alice_group(self, value: float) -> tuple[float, tuple[int, ...]] | None:
-        return next((g for g in self.alice_groups if abs(g[0] - value) <= self.eps_j), None)
-
-    def bob_group(self, value: float) -> tuple[float, tuple[int, ...]] | None:
-        return next((g for g in self.bob_groups if abs(g[0] - value) <= self.eps_j), None)
-
-    def alice_indices(self, value: float) -> tuple[int, ...]:
-        group = self.alice_group(value)
-        return group[1] if group else ()
-
-    def bob_indices(self, value: float) -> tuple[int, ...]:
-        group = self.bob_group(value)
-        return group[1] if group else ()
-
-    def alice_deg(self, value: float) -> int:
-        return len(self.alice_indices(value))
-
-    def bob_deg(self, value: float) -> int:
-        return len(self.bob_indices(value))
 
 
 @dataclass(frozen=True)

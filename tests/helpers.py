@@ -97,9 +97,14 @@ def _shell_has_crossed_positions(s: AdditiveStructure) -> bool:
     return len(values) >= 2
 
 
+def group_size(groups: tuple[tuple[float, tuple[int, ...]], ...], index: int) -> int:
+    """The size of the label group holding ``index``: the label's degeneracy."""
+    return next(len(members) for _, members in groups if index in members)
+
+
 def _shell_has_anchor_positions(s: AdditiveStructure) -> bool:
     for n, q in s.shell_pairs:
-        if s.alice_deg(s.j_alice[n]) != 1 or s.bob_deg(s.j_bob[q]) != 1:
+        if group_size(s.alice_groups, n) != 1 or group_size(s.bob_groups, q) != 1:
             continue
         if any(s.j_alice[m] != s.j_alice[n] for m, _ in s.shell_pairs):
             return True

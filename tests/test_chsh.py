@@ -481,6 +481,37 @@ class TestGridVerify:
         assert value == pytest.approx(2 * math.sqrt(2), abs=5e-6)
         assert value <= 2 * math.sqrt(2) + 1e-9
 
+    def test_off_texture_weight_leaves_no_gap_to_the_grid(self):
+        # a Bell texture with 1e-3 on the off-shell diagonal is valid at
+        # zero_tol 1e-2; the anchor identities (<O0> = 1 - <Oz>, the reduced
+        # <Oz> and coherence) take those entries as 0 and put fMax 8.0e-3
+        # above the score at every angle. fMax and the angles come from one
+        # expectation vector of the whole state, so the grid meets fMax
+        s = AdditiveStructure((0.5, -0.5), (0.5, -0.5), 0.0)
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[0, 0] = mat[3, 3] = 1e-3
+        mat[1, 1] = mat[2, 2] = 0.499
+        mat[1, 2] = mat[2, 1] = 0.02
+        rho = DensityMatrix(mat)
+        cert = certify_nonlocality(rho, s, 1e-2)
+        assert abs(cert.f_max - grid_verify(rho, cert.anchor, s, 1024, 2048)) <= 1e-9
+        assert cert.f_max < 2.0
+
+    def test_off_shell_weight_keeps_f_max_the_angle_maximum(self):
+        # 1e-4 of the weight on the off-shell diagonal, inside zero_tol 2e-4:
+        # fMax is attained at the reported angles, and no grid point beats it
+        rng = make_rng(36)
+        for _ in range(15):
+            s, rho, _ = random_anchored_system(rng)
+            off = [k for k in range(s.dim) if k not in set(s.shell_flats)]
+            mat = (1.0 - 1e-4) * rho.matrix
+            mat[off, off] += 1e-4 / len(off)
+            rho = DensityMatrix(mat)
+            cert = certify_nonlocality(rho, s, 2e-4)
+            obs = build_observables(cert.theta_opt, cert.phi_opt, s.d_a, s.d_b)
+            assert f_value(cert.reorder.apply(rho), obs) == pytest.approx(cert.f_max, abs=1e-12)
+            assert grid_verify(rho, cert.anchor, s, 32, 64) <= cert.f_max + 1e-12
+
     def test_higgs_grid_agrees_with_closed_form(self):
         rho, s = rho_from_params(params_from_measured(-0.33, 0.20))
         cert = certify_nonlocality(rho, s)
@@ -579,8 +610,8 @@ class TestCertifyNonlocality:
             assert other.f_max <= cert.f_max + 1e-15
 
     def test_one_closed_form_per_anchor(self, monkeypatch):
-        # the pick's certificate takes the pick's own score: no second
-        # closed form, and no pass through the checking public entry point
+        # the pick scores each anchor once and builds one certificate, with
+        # no pass through the checking public entry point
         rho, s = rho_from_params(params_from_measured(-0.33, 0.20))
         n_anchors = len(find_anchor_entries(rho, s))
         assert n_anchors > 1

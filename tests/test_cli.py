@@ -127,6 +127,22 @@ class TestCertify:
         assert payload["entanglementVerdict"]["status"] == "SEPARABLE_CERTIFIED"
         assert payload["chshCertificate"] is None
 
+    def test_min_pt_below_psd_tol_certifies_without_witness(self, tmp_path, capsys):
+        # the Bell coherence 1e-7 hides below --zero-tol 1e-6, but the min
+        # PT it leaves, -1e-7, lies below psd_tol: entangled, with no witness
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[1, 1] = mat[2, 2] = 0.5
+        mat[1, 2] = mat[2, 1] = 1e-7
+        path = write_doc(tmp_path / "weak.json", (0.5, -0.5), (0.5, -0.5), 0.0, mat)
+        assert cli.main(["certify", path, "--zero-tol", "1e-6"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: ENTANGLED_CERTIFIED\nmin PT eigenvalue: -1e-07\n" in out
+        assert "witness" not in out
+        assert cli.main(["certify", path, "--zero-tol", "1e-6", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["entanglementVerdict"] == {"status": "ENTANGLED_CERTIFIED", "witness": None}
+        assert payload["minPtEigenvalue"] == pytest.approx(-1e-7, rel=1e-9)
+
     def test_texture_violation_exits_2(self, off_shell_doc, capsys):
         assert cli.main(["certify", off_shell_doc]) == 2
         assert "INVALID" in capsys.readouterr().out
@@ -253,6 +269,13 @@ class TestParsing:
 
     def test_version_exits_zero(self):
         assert cli.main(["--version"]) == 0
+
+    def test_pyproject_version_is_the_tool_version(self):
+        # every report's toolVersion is __version__, and the wheel takes its
+        # version from pyproject.toml (read by regex: Python 3.10 has no tomllib)
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == cli.__version__
 
     def test_plain_number_entries_accepted(self, tmp_path):
         doc = {

@@ -382,6 +382,84 @@ class TestTheorem:
         assert min_pt_eigenvalue(rho, s) <= -abs(verdict.witness.value) + 1e-13
 
 
+@st.composite
+def hidden_crossed_states(draw):
+    """(zero_tol, psd_tol, structure, state) with every crossed entry at 0.1-10 x zero_tol.
+
+    Labels as in ``crossed_shell_states``. The state is half a random shell
+    state pinched to its Alice label groups (which zeroes its crossed
+    entries and keeps a state) and half the uniform shell diagonal, plus
+    crossed entries of random phase and magnitude zero_tol * 10**u, u in
+    [-1, 1]. The diagonal floor 1/(2k), k <= 64 shell pairs, outweighs the
+    crossed part (Frobenius norm at most 64 * 1e-5), so the sum is a state.
+    """
+    zero_tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    psd_tol = draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    s, rho = draw(crossed_shell_states())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flats = np.asarray(s.shell_flats)
+    alice = np.asarray(s.j_alice)[np.arange(s.dim) // s.d_b]
+    crossed = np.zeros((s.dim, s.dim), dtype=bool)
+    crossed[np.ix_(flats, flats)] = np.not_equal.outer(alice[flats], alice[flats])
+    mat = rho.matrix.copy()
+    mat[crossed] = 0.0
+    mat[flats, flats] += 1.0 / len(flats)
+    mat /= 2.0
+    upper = np.triu(crossed)
+    n = int(upper.sum())
+    values = zero_tol * 10.0 ** rng.uniform(-1.0, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+    mat[upper] = values
+    mat.T[upper] = values.conj()
+    return zero_tol, psd_tol, s, DensityMatrix(mat)
+
+
+class TestPeresRung:
+    """A verdict never stands beside its own min PT: one below -psd_tol
+    certifies entanglement even when no crossed entry or sector block
+    shows it (Peres, PRL 77, 1413 (1996))."""
+
+    BELL = AdditiveStructure((0.5, -0.5), (0.5, -0.5), 0.0)
+
+    def test_bell_coherence_at_or_below_zero_tol(self):
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[1, 1] = mat[2, 2] = 0.5
+        mat[1, 2] = mat[2, 1] = 1e-7
+        rho = DensityMatrix(mat)
+        verdict = certify(rho, self.BELL, tol=1e-6)
+        assert verdict.status is VerdictStatus.ENTANGLED_CERTIFIED
+        assert verdict.witness is None
+        assert verdict.min_pt_eigenvalue == pytest.approx(-1e-7, rel=1e-9)
+        # above zero_tol the coherence is the crossed witness
+        assert isinstance(certify(rho, self.BELL, tol=1e-8).witness, CrossedEntry)
+
+    def test_two_by_d_coupling_hidden_below_zero_tol(self):
+        # the paper's 2 x d case with Alice non-degenerate, at dim 512: each
+        # of the 128 x 128 crossed entries is 0.999e-12, below zero_tol, but
+        # their coupling's sigma_max is 128 * 0.999e-12 = 1.279e-10, past
+        # psd_tol 1e-10
+        n = 128
+        s = AdditiveStructure((0.0, 1.0), (0.0,) * n + (-1.0,) * n, 0.0)
+        shell = np.asarray(s.shell_flats)
+        mat = np.zeros((s.dim, s.dim), dtype=complex)
+        mat[shell, shell] = 1.0 / (2 * n)
+        mat[np.ix_(shell[:n], shell[n:])] = mat[np.ix_(shell[n:], shell[:n])] = 0.999e-12
+        verdict = certify(DensityMatrix(mat), s, psd_tol=1e-10)
+        assert verdict.status is VerdictStatus.ENTANGLED_CERTIFIED
+        assert verdict.witness is None
+        assert verdict.min_pt_eigenvalue == pytest.approx(-n * 0.999e-12, rel=1e-9)
+
+    @settings(max_examples=120, deadline=None)
+    @given(hidden_crossed_states())
+    def test_no_separable_or_ppt_verdict_below_minus_psd_tol(self, case):
+        zero_tol, psd_tol, s, rho = case
+        verdict = certify(rho, s, zero_tol, psd_tol)
+        event(f"{verdict.status.value}, witness {type(verdict.witness).__name__}")
+        if verdict.status is not VerdictStatus.ENTANGLED_CERTIFIED:
+            assert verdict.min_pt_eigenvalue >= -psd_tol
+        elif verdict.witness is None:
+            assert verdict.min_pt_eigenvalue < -psd_tol
+
+
 #: States with a sector concurrence (before the max with 0) within this band
 #: of 0 are skipped: there block PPT and concurrence meet at 0, and the PPT
 #: rung's psd_tol (1e-9) decides. For two qubits the negativity

@@ -113,8 +113,8 @@ def test_golden_ppt_block_witnesses_match_the_unit_trace_block():
         s, pt = _dense_partial_transpose(doc)
         idx = [
             m * s.d_b + q
-            for m in s.alice_indices(witness["mValue"])
-            for q in s.bob_indices(witness["qValue"])
+            for m in dict(s.alice_groups)[witness["mValue"]]
+            for q in dict(s.bob_groups)[witness["qValue"]]
         ]
         assert len(idx) == witness["degM"] * witness["degQ"]
         block = pt[np.ix_(idx, idx)]

@@ -36,6 +36,8 @@ from addobs_certify.structure import (
     validate_additivity,
 )
 
+from helpers import group_size
+
 # --- per-entry references ---
 
 
@@ -71,7 +73,7 @@ def reference_crossed(mat, s, tol):
 
 
 def _nondegenerate(s, m, p):
-    return s.alice_deg(s.j_alice[m]) == 1 and s.bob_deg(s.j_bob[p]) == 1
+    return group_size(s.alice_groups, m) == 1 and group_size(s.bob_groups, p) == 1
 
 
 def reference_anchors(mat, s, tol):

@@ -60,11 +60,11 @@ class TestAdditiveStructure:
         assert HIGGS_STRUCTURE.shell_flats == (2, 4, 6)
 
     def test_label_grouping(self):
+        # each group is (representative, indices), ascending; a label's
+        # degeneracy is the size of its group
         s = AdditiveStructure((1.0, 1.0, 0.0), (0.0, -1.0), 0.0)
-        assert s.alice_indices(1.0) == (0, 1)
-        assert s.alice_deg(1.0) == 2
-        assert s.bob_deg(-1.0) == 1
-        assert s.alice_indices(5.0) == ()
+        assert s.alice_groups == ((0.0, (2,)), (1.0, (0, 1)))
+        assert s.bob_groups == ((-1.0, (1,)), (0.0, (0,)))
 
     def test_non_finite_labels_rejected(self):
         with pytest.raises(ValueError, match="finite"):
