@@ -18,7 +18,10 @@ strictly above the classical bound 2, for an exact texture, whenever the
 anchor entry is nonzero. With entries off the texture (up to ``zero_tol``)
 the certificate takes fMax and the angles from one expectation vector read
 from all of rho, so fMax is the state's maximum over the angles (exact up
-to the trace tolerance) and can be 2 or less.
+to the trace tolerance) and can be 2 or less. That vector is read once per
+anchor, and anchors are ranked by the fMax their certificates report, so
+the best certificate is the one with the largest fMax on or off the
+texture.
 A grid maximizer over the raw trace expression serves as an independent
 numerical cross-check of the closed form. It contracts the state with
 Alice's two settings into two Bob operators W1, W2 and scores each angle
@@ -243,7 +246,7 @@ def o_expectations(rho, d_a: int, d_b: int) -> OExpectations:
         )
     diag = mat.diagonal().real.reshape(d_a, d_b)
     o0 = float(np.sum(diag[0, 2:]) - np.sum(diag[1, 2:]) + np.sum(diag[2:, 2:]))
-    c, oz, _ = _o_vector(mat, diag, BasisReordering(tuple(range(d_a)), tuple(range(d_b))))
+    c, oz, _ = _o_vector(diag, mat.reshape(d_a, d_b, d_a, d_b), 0, 0, 1, 1)
     return OExpectations(o0=o0, ox=float(2.0 * c.real), oy=float(-2.0 * c.imag), oz=oz)
 
 
@@ -281,42 +284,29 @@ def _f_max(a_abs: float, oz: float) -> float:
     return 2.0 * (1.0 + math.hypot(2.0 * a_abs, oz) - oz)
 
 
-def _closed_form_f_max(mat: np.ndarray, diag: np.ndarray, row: int, col: int) -> float:
-    """``_f_max`` of the anchor rho[row, col], with <Oz> read from entries.
-
-    ``diag`` is diag(rho) as d_a x d_b. After the anchor's reordering the
-    diagonal entries in <Oz> sit at (m0,p0), (n0,q0) and in Bob's column p0
-    for the other Alice indices, summed in ascending order.
-    """
-    d_a, d_b = diag.shape
-    (m0, p0), (n0, q0) = divmod(row, d_b), divmod(col, d_b)
-    rest = [i for i in range(d_a) if i not in (m0, n0)]
-    oz = float(diag[m0, p0] + diag[n0, q0] + np.sum(diag[rest, p0]))
-    return _f_max(abs(mat[row, col]), oz)
-
-
-def _o_vector(mat: np.ndarray, diag: np.ndarray, reorder: BasisReordering) -> tuple[complex, float, float]:
-    """(c, <Oz>, leak) of the reordered state, without reordering ``mat``.
+def _o_vector(diag: np.ndarray, rho4: np.ndarray, m0: int, p0: int, n0: int, q0: int) -> tuple[complex, float, float]:
+    """(c, <Oz>, leak) of the state reordered for the anchor rho[(m0,p0),(n0,q0)].
 
     (<Ox>, <Oy>) = (2 Re c, -2 Im c) for the coherence c, and <O0> =
     Tr rho - <Oz> - 2 leak, where leak is the diagonal weight in Alice's
     row n0 and Bob's column q0 off the pair (n0, q0). For an anchor (N0, Q0)
     is non-degenerate, so every pair there is off the shell: an exact
-    texture has leak 0.0 and c = the anchor entry. Reads the entries of
-    ``reorder.apply(mat)`` that the sums need through the basis orders
-    instead; ``o_expectations`` passes the identity orders. ``diag`` is
-    diag(rho) as d_a x d_b.
+    texture has leak 0.0 and c = the anchor entry. The sums read the
+    entries of the reordered matrix they need from rho through the four
+    indices, so no reordered copy is made; ``o_expectations`` passes
+    (0, 0, 1, 1), the identity orders. ``diag`` is diag(rho) as d_a x d_b
+    and ``rho4`` is rho as d_a x d_b x d_a x d_b.
     """
-    (m0, n0, *rest), (p0, q0, *_) = reorder.alice_order, reorder.bob_order
-    rho4 = mat.reshape(*diag.shape, *diag.shape)  # rho4[m, p, n, q] = rho[(m, p), (n, q)]
+    rest = np.arange(len(diag))
+    rest = rest[(rest != m0) & (rest != n0)]
     oz = float(
         (diag[m0, p0] - diag[m0, q0])
         + (diag[n0, q0] - diag[n0, p0])
-        + np.sum(diag[rest, p0] - diag[rest, q0])
+        + (diag[rest, p0] - diag[rest, q0]).sum()
     )
-    leak = float(np.sum(diag[n0]) + np.sum(diag[:, q0]) - 2.0 * diag[n0, q0])
+    leak = float(diag[n0].sum() + diag[:, q0].sum() - 2.0 * diag[n0, q0])
     # a numpy scalar: its abs is the anchor entry's, bit for bit, on an exact texture
-    c = rho4[m0, p0, n0, q0] + rho4[n0, p0, m0, q0] + np.sum(rho4[rest, p0, rest, q0])
+    c = rho4[m0, p0, n0, q0] + rho4[n0, p0, m0, q0] + rho4[rest, p0, rest, q0].sum()
     return c, oz, leak
 
 
@@ -329,22 +319,24 @@ def f_max_closed_form(rho, anchor: AnchorEntry, s: AdditiveStructure) -> ChshCer
     the settings.
     """
     mat = _validate_anchor(rho, anchor, s)
-    return _certificate(mat, mat.diagonal().real.reshape(s.d_a, s.d_b), anchor, s)
+    diag, rho4 = mat.diagonal().real.reshape(s.d_a, s.d_b), mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b)
+    return _certificate(anchor, s, *_o_vector(diag, rho4, anchor.m0, anchor.p0, anchor.n0, anchor.q0))
 
 
-def _certificate(
-    mat: np.ndarray, diag: np.ndarray, anchor: AnchorEntry, s: AdditiveStructure
-) -> ChshCertificate:
-    """The certificate of a checked ``anchor``.
+def _score(c: complex, oz: float, leak: float) -> float:
+    """fMax of the expectation vector ``_o_vector`` read for one anchor."""
+    return _f_max(abs(c), oz) - 4.0 * leak
 
-    ``diag`` is diag(rho) as d_a x d_b. fMax and the angles come from one
-    expectation vector: max over the angles of 2 * [<O0> + |(<Ox>, <Oy>,
-    <Oz>)|] is ``_f_max(|c|, <Oz>) - 4 * leak`` with Tr rho taken as 1 (see
-    ``_o_vector``), attained where Bob's first setting aligns with that
-    vector.
+
+def _certificate(anchor: AnchorEntry, s: AdditiveStructure, c: complex, oz: float, leak: float) -> ChshCertificate:
+    """The certificate of a checked ``anchor``, from its ``_o_vector`` (c, <Oz>, leak).
+
+    fMax and the angles come from that one expectation vector: max over the
+    angles of 2 * [<O0> + |(<Ox>, <Oy>, <Oz>)|] is ``_score(c, <Oz>, leak)``
+    = ``_f_max(|c|, <Oz>) - 4 * leak`` with Tr rho taken as 1, attained
+    where Bob's first setting aligns with that vector. Nothing is read from
+    rho here.
     """
-    reorder = reorder_basis(anchor, s)
-    c, oz, leak = _o_vector(mat, diag, reorder)
     ox, oy = float(2.0 * c.real), float(-2.0 * c.imag)
     norm = math.sqrt(ox**2 + oy**2 + oz**2)
     if norm <= EPS_ZERO:
@@ -352,7 +344,7 @@ def _certificate(
     else:
         theta_opt = math.acos(min(1.0, max(-1.0, oz / norm))) + 0.0
         phi_opt = math.atan2(oy, ox) + 0.0  # +0.0 folds -0.0 into 0.0
-    return ChshCertificate(anchor, reorder, _f_max(abs(c), oz) - 4.0 * leak, theta_opt, phi_opt)
+    return ChshCertificate(anchor, reorder_basis(anchor, s), _score(c, oz, leak), theta_opt, phi_opt)
 
 
 def _alice_contractions(mat: np.ndarray, reorder: BasisReordering) -> tuple[np.ndarray, np.ndarray]:
@@ -466,19 +458,26 @@ def certify_nonlocality(rho, s: AdditiveStructure, tol: float = EPS_ZERO) -> Chs
 
     Absence of an anchor makes no locality claim; it only means this
     construction cannot certify a violation. Anchors are scanned in
-    ascending flat order and ranked by the closed form of the anchor entry;
-    ties in the maximum keep the first, and only that one is built as an
-    ``AnchorEntry``. Its certificate is ``f_max_closed_form``'s: for an
-    exact texture fMax is the pick's score, bit for bit, and exceeds 2;
-    otherwise see ``ChshCertificate``. The scan found the anchors with the
-    predicate and flags of ``f_max_closed_form``'s anchor check, so none is
-    checked again.
+    ascending flat order, each read once by ``_o_vector`` and ranked by the
+    fMax its certificate reports, leak included; ties in the maximum keep
+    the first, and only that one becomes an ``AnchorEntry`` and a
+    certificate, from the vector already read. So the pick is the first
+    maximum of ``f_max_closed_form`` over ``find_anchor_entries``: for an
+    exact texture its fMax exceeds 2; otherwise see ``ChshCertificate``.
+    The scan found the anchors with the predicate and flags of
+    ``f_max_closed_form``'s anchor check, so none is checked again.
     """
     analysis = _analysis(rho, s)
-    anchors = analysis.entries(*analysis.valid(tol).anchors)
-    if not anchors:
+    rows, cols = analysis.valid(tol).anchors
+    if not rows.size:
         return None
-    mat = analysis.mat
-    diag = mat.diagonal().real.reshape(s.d_a, s.d_b)
-    f_all = [_closed_form_f_max(mat, diag, row, col) for row, col, _ in anchors]
-    return _certificate(mat, diag, _anchor_entry(*anchors[f_all.index(max(f_all))], s.d_b), s)
+    mat, d_a, d_b = analysis.mat, s.d_a, s.d_b
+    diag, rho4 = mat.diagonal().real.reshape(d_a, d_b), mat.reshape(d_a, d_b, d_a, d_b)
+    best = None
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        o = _o_vector(diag, rho4, *divmod(row, d_b), *divmod(col, d_b))
+        f = _score(*o)
+        if best is None or f > best[0]:
+            best = f, row, col, o
+    _, row, col, o = best
+    return _certificate(_anchor_entry(row, col, complex(mat[row, col]), d_b), s, *o)

@@ -610,12 +610,13 @@ class TestCertifyNonlocality:
             assert other.f_max <= cert.f_max + 1e-15
 
     def test_one_closed_form_per_anchor(self, monkeypatch):
-        # the pick scores each anchor once and builds one certificate, with
-        # no pass through the checking public entry point
+        # the pick reads each anchor's expectation vector once and builds
+        # the winner's certificate from it: no second read of rho, and no
+        # pass through the checking public entry point
         rho, s = rho_from_params(params_from_measured(-0.33, 0.20))
         n_anchors = len(find_anchor_entries(rho, s))
         assert n_anchors > 1
-        calls = {"_closed_form_f_max": 0, "f_max_closed_form": 0}
+        calls = {"_o_vector": 0, "f_max_closed_form": 0}
 
         def counted(name):
             inner = getattr(chsh, name)
@@ -629,4 +630,4 @@ class TestCertifyNonlocality:
         for name in calls:
             monkeypatch.setattr(chsh, name, counted(name))
         assert certify_nonlocality(rho, s).f_max > 2.0
-        assert calls == {"_closed_form_f_max": n_anchors, "f_max_closed_form": 0}
+        assert calls == {"_o_vector": n_anchors, "f_max_closed_form": 0}

@@ -155,6 +155,17 @@ class TestCertify:
         assert grid["fGrid"] == pytest.approx(2 * math.sqrt(2), abs=1e-4)
         assert 0 <= grid["gap"] < 1e-4
 
+    def test_grid_without_anchor_is_skipped(self, diagonal_doc, capsys):
+        # no anchor, so nothing to cross-check: the run succeeds without a grid report
+        assert cli.main(["certify", diagonal_doc, "--grid", "8x8"]) == 0
+        out = capsys.readouterr().out
+        assert "CHSH: no anchor entry; no violation certified" in out
+        assert "grid" not in out
+        assert cli.main(["certify", diagonal_doc, "--grid", "8x8", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["chshCertificate"] is None
+        assert "gridCheck" not in out
+
     def test_bad_grid_spec(self, bell_doc):
         assert cli.main(["certify", bell_doc, "--grid", "coarse"]) == 1
 

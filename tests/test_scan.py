@@ -36,7 +36,7 @@ from addobs_certify.structure import (
     validate_additivity,
 )
 
-from helpers import group_size
+from helpers import group_size, make_rng, random_anchored_system
 
 # --- per-entry references ---
 
@@ -310,6 +310,34 @@ def test_certificate_is_first_scalar_maximum(case):
     assert (cert.theta_opt, cert.phi_opt) == (expected.theta_opt, expected.phi_opt)
     assert cert.reorder == expected.reorder
     assert 2.0 < cert.f_max <= TSIRELSON_BOUND + 1e-12  # rounding slack only
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_certificate_is_first_maximum_off_the_texture(seed):
+    # 1e-2 of the weight spread over the off-shell diagonal, valid at
+    # zero_tol 1e-2: the leak lowers each anchor's fMax by its own amount,
+    # so ranking anchors by the exact-texture score alone could pick an
+    # anchor whose certificate is not the best
+    rng, weights = make_rng(seed), np.random.default_rng(seed)
+    for _ in range(100):
+        s, rho, _ = random_anchored_system(rng)
+        shell = set(s.shell_flats)
+        off = [k for k in range(s.dim) if k not in shell]
+        if not off:
+            continue
+        w = np.minimum(weights.dirichlet(np.ones(len(off))) * 1e-2, 0.99e-2)
+        mat = (1.0 - w.sum()) * rho.matrix
+        mat[off, off] += w
+        state = DensityMatrix(mat)
+        expected = reference_certificate(state, s, 1e-2)
+        cert = certify_nonlocality(state, s, 1e-2)
+        if expected is None:
+            assert cert is None
+            continue
+        assert cert.anchor == expected.anchor
+        assert cert.f_max == expected.f_max
+        assert (cert.theta_opt, cert.phi_opt) == (expected.theta_opt, expected.phi_opt)
+        assert cert.reorder == expected.reorder
 
 
 @settings(max_examples=100, deadline=None)
