@@ -14,6 +14,13 @@ Matrix entries may be ``{"re": x, "im": y}`` objects or plain numbers
 validation failure. Reports are deterministic: identical inputs produce
 byte-identical output on one machine with one BLAS thread count (the last
 digits of eigenvalues can follow the number of BLAS threads).
+
+Each report section has one private builder that returns its JSON value
+and its text lines together (``_texture_report``, ``_witness_report``,
+``_sector_report``, ``_certificate_report``, ``_tables_report``); the
+``cmd_*`` handlers compute and put the sections together, and
+``cmd_higgs`` holds the ``higgs`` flag rules. ``main`` only parses the
+arguments and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .entanglement import (
     BlockWitness,
     CrossedEntry,
     EntanglementVerdict,
+    SectorClass,
     certify,
     classify_sectors,
     reduced_purity,
@@ -48,7 +56,6 @@ from .structure import (
     EPS_ZERO,
     AdditiveStructure,
     DensityMatrix,
-    StateValidationError,
     TextureViolation,
     validate_additivity,
 )
@@ -317,19 +324,33 @@ def _complex_dict(z: complex) -> dict:
     return {"im": float(z.imag), "re": float(z.real)}
 
 
-def _violation_dict(v: TextureViolation) -> dict:
-    return {
-        "aliceCol": v.alice_col,
-        "aliceRow": v.alice_row,
-        "bobCol": v.bob_col,
-        "bobRow": v.bob_row,
-        "col": v.col,
-        "colLabelSum": v.col_label_sum,
-        "magnitude": abs(v.value),
-        "row": v.row,
-        "rowLabelSum": v.row_label_sum,
-        "value": _complex_dict(v.value),
-    }
+def _texture_report(violations: list[TextureViolation]) -> tuple[dict, list[str]]:
+    """The texture section: its JSON keys and its ``texture:`` lines.
+
+    ``validate`` adds ``textureValid``; ``certify`` emits it alone on
+    violations and extends it with the other sections on a valid state.
+    """
+    values, lines = [], [f"texture: INVALID ({len(violations)} violating entries)"]
+    for v in violations:
+        values.append({
+            "aliceCol": v.alice_col,
+            "aliceRow": v.alice_row,
+            "bobCol": v.bob_col,
+            "bobRow": v.bob_row,
+            "col": v.col,
+            "colLabelSum": v.col_label_sum,
+            "magnitude": abs(v.value),
+            "row": v.row,
+            "rowLabelSum": v.row_label_sum,
+            "value": _complex_dict(v.value),
+        })
+        lines.append(
+            f"  entry ({v.row},{v.col}) = rho[(m={v.alice_row},p={v.bob_row}),"
+            f"(n={v.alice_col},q={v.bob_col})] |value| = {abs(v.value):.12g}"
+            f" label sums ({v.row_label_sum:.12g}, {v.col_label_sum:.12g})"
+        )
+    payload = {"textureViolations": values, "toolVersion": __version__}
+    return payload, lines if violations else ["texture: VALID"]
 
 
 def _witness_report(witness) -> tuple[dict | None, list[str]]:
@@ -363,25 +384,105 @@ def _witness_report(witness) -> tuple[dict | None, list[str]]:
     return None, []
 
 
-def _certificate_dict(cert: ChshCertificate, grid: dict | None) -> dict:
-    out = {
+def _sector_report(classes: list[SectorClass]) -> tuple[list[dict], list[str]]:
+    """The sector classes' JSON value and their ``shell sectors:`` line."""
+    values, texts = [], []
+    for c in classes:
+        sector, kind = c.sector, c.kind.value
+        values.append({
+            "degM": sector.deg_m,
+            "degQ": sector.deg_q,
+            "kind": kind,
+            "mValue": sector.m_value,
+            "qValue": sector.q_value,
+        })
+        texts.append(
+            f"(M={sector.m_value:.12g},Q={sector.q_value:.12g}) "
+            f"{sector.deg_m}x{sector.deg_q} {kind}"
+        )
+    return values, ["shell sectors: " + ", ".join(texts)]
+
+
+def _certificate_report(
+    cert: ChshCertificate | None, grid: tuple[int, int] | None, f_grid: float | None
+) -> tuple[dict | None, list[str]]:
+    """The CHSH certificate's JSON value and its ``CHSH`` lines: ``None`` and
+    the "no anchor entry" line for no certificate. ``f_grid`` is the maximum
+    on the ``grid`` (nTheta, nPhi), or None for no grid check."""
+    if cert is None:
+        return None, ["CHSH: no anchor entry; no violation certified"]
+    a = cert.anchor
+    value = {
         "aliceOrder": list(cert.reorder.alice_order),
         "anchor": {
-            "alice": [cert.anchor.m0, cert.anchor.n0],
-            "bob": [cert.anchor.p0, cert.anchor.q0],
-            "value": _complex_dict(cert.anchor.value),
+            "alice": [a.m0, a.n0],
+            "bob": [a.p0, a.q0],
+            "value": _complex_dict(a.value),
         },
         "bobOrder": list(cert.reorder.bob_order),
         "fMax": cert.f_max,
         "phiOpt": cert.phi_opt,
         "thetaOpt": cert.theta_opt,
     }
-    if grid is not None:
-        out["gridCheck"] = grid
-    return out
+    lines = [
+        f"CHSH: fMax = {cert.f_max:.12f}  theta = {cert.theta_opt:.12g}"
+        f"  phi = {cert.phi_opt:.12g}",
+        f"CHSH anchor: rho[(m={a.m0},p={a.p0}),(n={a.n0},q={a.q0})]"
+        f"  |value| = {abs(a.value):.12g}",
+    ]
+    if f_grid is not None:
+        (n_theta, n_phi), gap = grid, cert.f_max - f_grid
+        value["gridCheck"] = {
+            "fGrid": f_grid,
+            "gap": gap,
+            "nPhi": n_phi,
+            "nTheta": n_theta,
+        }
+        lines.append(
+            f"grid check ({n_theta}x{n_phi}): "
+            f"fGrid = {f_grid:.12f}  gap = {gap:.3e}"
+        )
+    return value, lines
 
 
-def _emit(payload: dict, args, text_lines: list[str]) -> None:
+def _tables_report(report: TablesReport) -> tuple[dict, list[str]]:
+    """The pseudoexperiment tables' JSON value and text lines, in one walk."""
+    columns, lines = [], []
+    for col in report.columns:
+        lines.append(
+            f"[{col.table_label}, cut {col.cut_gev} GeV] N={col.n_events}"
+            f"  a12 = {col.a12.central:+.2f}+/-{col.a12.sigma:.2f}"
+            f"  a13 = {col.a13.central:+.2f}+/-{col.a13.sigma:.2f}"
+        )
+        checks = []
+        for check in col.checks:
+            checks.append({
+                "computed": check.computed,
+                "interval": list(check.interval),
+                "name": check.name,
+                "passed": check.passed,
+                "printed": check.printed,
+            })
+            lines.append(
+                f"  {check.name:<6} = {check.computed:.12g}"
+                f"  printed {check.printed:g}"
+                f"  {'PASS' if check.passed else 'FAIL'}"
+            )
+        columns.append({
+            "a12": {"central": col.a12.central, "sigma": col.a12.sigma},
+            "a13": {"central": col.a13.central, "sigma": col.a13.sigma},
+            "checks": checks,
+            "cutGeV": col.cut_gev,
+            "nEvents": col.n_events,
+            "table": col.table_label,
+        })
+    checks = report.checks()
+    n_pass = sum(1 for c in checks if c.passed)
+    lines.append(f"ALL CHECKS: {'PASS' if report.all_pass else 'FAIL'} ({n_pass}/{len(checks)})")
+    return {"allPass": report.all_pass, "columns": columns, "toolVersion": __version__}, lines
+
+
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -389,27 +490,12 @@ def _emit(payload: dict, args, text_lines: list[str]) -> None:
             print(line)
 
 
-def _violation_lines(violations: list[TextureViolation]) -> list[str]:
-    lines = [f"texture: INVALID ({len(violations)} violating entries)"]
-    for v in violations:
-        lines.append(
-            f"  entry ({v.row},{v.col}) = rho[(m={v.alice_row},p={v.bob_row}),"
-            f"(n={v.alice_col},q={v.bob_col})] |value| = {abs(v.value):.12g}"
-            f" label sums ({v.row_label_sum:.12g}, {v.col_label_sum:.12g})"
-        )
-    return lines
-
-
 def cmd_validate(args) -> int:
     structure, state = load_document(args.path)
     violations = validate_additivity(state, structure, args.zero_tol)
-    payload = {
-        "textureValid": not violations,
-        "textureViolations": [_violation_dict(v) for v in violations],
-        "toolVersion": __version__,
-    }
-    lines = ["texture: VALID"] if not violations else _violation_lines(violations)
-    _emit(payload, args, lines)
+    payload, lines = _texture_report(violations)
+    payload["textureValid"] = not violations
+    _emit(args, payload, lines)
     return EXIT_OK if not violations else EXIT_DOMAIN
 
 
@@ -457,159 +543,62 @@ def cmd_certify(args) -> int:
     structure, state = load_document(args.path)
     # this call, certify and certify_nonlocality share the state's analysis record
     violations = validate_additivity(state, structure, args.zero_tol)
+    payload, lines = _texture_report(violations)
     if violations:
-        payload = {
-            "textureViolations": [_violation_dict(v) for v in violations],
-            "toolVersion": __version__,
-        }
-        _emit(payload, args, _violation_lines(violations))
+        _emit(args, payload, lines)
         return EXIT_DOMAIN
 
     verdict: EntanglementVerdict = certify(state, structure, args.zero_tol)
-    purity_a = reduced_purity(state, structure, "A")
-    purity_b = reduced_purity(state, structure, "B")
-    classes = classify_sectors(structure)
+    purities = {party: reduced_purity(state, structure, party) for party in "AB"}
+    sectors, sector_lines = _sector_report(classify_sectors(structure))
     cert = certify_nonlocality(state, structure, args.zero_tol)
+    f_grid = None
+    if cert is not None and args.grid is not None:
+        f_grid = grid_verify(state, cert.anchor, structure, *args.grid)
 
     witness, witness_lines = _witness_report(verdict.witness)
-    grid_info = None
-    if cert is not None and args.grid is not None:
-        n_theta, n_phi = args.grid
-        f_grid = grid_verify(state, cert.anchor, structure, n_theta, n_phi)
-        grid_info = {
-            "fGrid": f_grid,
-            "gap": cert.f_max - f_grid,
-            "nPhi": n_phi,
-            "nTheta": n_theta,
-        }
-
-    payload = {
-        "chshCertificate": None if cert is None else _certificate_dict(cert, grid_info),
-        "entanglementVerdict": {
-            "status": verdict.status.value,
-            "witness": witness,
-        },
-        "minPtEigenvalue": verdict.min_pt_eigenvalue,
-        "reducedPurities": {"A": purity_a, "B": purity_b},
-        "sectorClasses": [
-            {
-                "degM": c.sector.deg_m,
-                "degQ": c.sector.deg_q,
-                "kind": c.kind.value,
-                "mValue": c.sector.m_value,
-                "qValue": c.sector.q_value,
-            }
-            for c in classes
-        ],
-        "textureViolations": [],
-        "toolVersion": __version__,
-    }
-
-    lines = ["texture: VALID", f"verdict: {verdict.status.value}", *witness_lines]
-    lines.append(f"min PT eigenvalue: {verdict.min_pt_eigenvalue:.12g}")
-    lines.append(f"reduced purity: A = {purity_a:.12g}  B = {purity_b:.12g}")
-    lines.append(
-        "shell sectors: "
-        + ", ".join(
-            f"(M={c.sector.m_value:.12g},Q={c.sector.q_value:.12g}) "
-            f"{c.sector.deg_m}x{c.sector.deg_q} {c.kind.value}"
-            for c in classes
-        )
+    certificate, certificate_lines = _certificate_report(cert, args.grid, f_grid)
+    payload.update(
+        chshCertificate=certificate,
+        entanglementVerdict={"status": verdict.status.value, "witness": witness},
+        minPtEigenvalue=verdict.min_pt_eigenvalue,
+        reducedPurities=purities,
+        sectorClasses=sectors,
     )
-    if cert is None:
-        lines.append("CHSH: no anchor entry; no violation certified")
-    else:
-        lines.append(
-            f"CHSH: fMax = {cert.f_max:.12f}  theta = {cert.theta_opt:.12g}"
-            f"  phi = {cert.phi_opt:.12g}"
-        )
-        a = cert.anchor
-        lines.append(
-            f"CHSH anchor: rho[(m={a.m0},p={a.p0}),(n={a.n0},q={a.q0})]"
-            f"  |value| = {abs(a.value):.12g}"
-        )
-        if grid_info is not None:
-            lines.append(
-                f"grid check ({grid_info['nTheta']}x{grid_info['nPhi']}): "
-                f"fGrid = {grid_info['fGrid']:.12f}  gap = {grid_info['gap']:.3e}"
-            )
-    _emit(payload, args, lines)
+    lines += [
+        f"verdict: {verdict.status.value}",
+        *witness_lines,
+        f"min PT eigenvalue: {verdict.min_pt_eigenvalue:.12g}",
+        f"reduced purity: A = {purities['A']:.12g}  B = {purities['B']:.12g}",
+        *sector_lines,
+        *certificate_lines,
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
-
-
-def _tables_payload(report: TablesReport) -> dict:
-    return {
-        "allPass": report.all_pass,
-        "columns": [
-            {
-                "a12": {"central": col.a12.central, "sigma": col.a12.sigma},
-                "a13": {"central": col.a13.central, "sigma": col.a13.sigma},
-                "checks": [
-                    {
-                        "computed": check.computed,
-                        "interval": list(check.interval),
-                        "name": check.name,
-                        "passed": check.passed,
-                        "printed": check.printed,
-                    }
-                    for check in col.checks
-                ],
-                "cutGeV": col.cut_gev,
-                "nEvents": col.n_events,
-                "table": col.table_label,
-            }
-            for col in report.columns
-        ],
-        "toolVersion": __version__,
-    }
 
 
 def cmd_higgs(args) -> int:
     if args.tables:
+        if any(v is not None for v in (args.a12, args.a13, args.sigma12, args.sigma13)):
+            print("error: higgs --tables takes no --a12, --a13, --sigma12 or --sigma13", file=sys.stderr)
+            return EXIT_USAGE
         report = reproduce_tables()
-        lines = []
-        for col in report.columns:
-            lines.append(
-                f"[{col.table_label}, cut {col.cut_gev} GeV] N={col.n_events}"
-                f"  a12 = {col.a12.central:+.2f}+/-{col.a12.sigma:.2f}"
-                f"  a13 = {col.a13.central:+.2f}+/-{col.a13.sigma:.2f}"
-            )
-            for check in col.checks:
-                lines.append(
-                    f"  {check.name:<6} = {check.computed:.12g}"
-                    f"  printed {check.printed:g}"
-                    f"  {'PASS' if check.passed else 'FAIL'}"
-                )
-        n_checks = len(report.checks())
-        n_pass = sum(1 for c in report.checks() if c.passed)
-        lines.append(f"ALL CHECKS: {'PASS' if report.all_pass else 'FAIL'} ({n_pass}/{n_checks})")
-        _emit(_tables_payload(report), args, lines)
+        _emit(args, *_tables_report(report))
         return EXIT_OK if report.all_pass else EXIT_DOMAIN
+    if args.a12 is None or args.a13 is None:
+        print("error: higgs needs --tables or both --a12 and --a13", file=sys.stderr)
+        return EXIT_USAGE
 
-    try:
-        params = params_from_measured(args.a12, args.a13)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-
-    payload: dict = {
-        "f12": f12(params),
-        "f13": f13(params),
-        "toolVersion": __version__,
-    }
-    lines = [
-        f"F12 = {payload['f12']:.12f}",
-        f"F13 = {payload['f13']:.12f}",
-    ]
-    if args.sigma12 is not None:
-        sig = significance(Measurement(args.a12, args.sigma12))
-        payload["significance12"] = sig
-        lines.append(f"significance(a12) = {sig:.12g}")
-    if args.sigma13 is not None:
-        sig = significance(Measurement(args.a13, args.sigma13))
-        payload["significance13"] = sig
-        lines.append(f"significance(a13) = {sig:.12g}")
-    _emit(payload, args, lines)
+    params = params_from_measured(args.a12, args.a13)
+    payload, lines = {"toolVersion": __version__}, []
+    for key, f in (("12", f12), ("13", f13)):
+        payload["f" + key] = value = f(params)
+        lines.append(f"F{key} = {value:.12f}")
+    for key, central, sigma in (("12", args.a12, args.sigma12), ("13", args.a13, args.sigma13)):
+        if sigma is not None:
+            payload["significance" + key] = sig = significance(Measurement(central, sigma))
+            lines.append(f"significance(a{key}) = {sig:.12g}")
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -666,21 +655,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command == "higgs":
-        if not args.tables and (args.a12 is None or args.a13 is None):
-            print("error: higgs needs --tables or both --a12 and --a13", file=sys.stderr)
-            return EXIT_USAGE
-        if args.tables and any(v is not None for v in (args.a12, args.a13, args.sigma12, args.sigma13)):
-            print("error: higgs --tables takes no --a12, --a13, --sigma12 or --sigma13", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except ValueError as exc:  # DocumentError and StateValidationError included
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (StateValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, DocumentError) else EXIT_DOMAIN
 
 
 def entry_point() -> None:

@@ -187,9 +187,14 @@ def significance(m: Measurement) -> float:
     """Number of standard deviations by which the value differs from zero.
 
     Because F - 2 is proportional to the anchor magnitude, this is also the
-    confidence level at which the CHSH bound is exceeded.
+    confidence level at which the CHSH bound is exceeded. Raises
+    ``ValueError`` when the quotient overflows (a tiny ``sigma``): it is no
+    finite number of standard deviations.
     """
-    return abs(m.central) / m.sigma
+    sig = abs(m.central) / m.sigma
+    if not math.isfinite(sig):
+        raise ValueError(f"significance |{m.central!r}| / {m.sigma!r} is not finite")
+    return sig
 
 
 # --- published pseudoexperiment dataset (1000 pseudoexperiments per column) ---

@@ -114,7 +114,8 @@ class AdditiveStructure:
     representatives sum to J within ``eps_j``; every label test reads this
     one table. It must be nonempty (else no state satisfies the constraint)
     and a partial matching (a group meeting two groups of the other party
-    makes the texture ambiguous), or ``ValueError`` is raised.
+    makes the texture ambiguous), and every label sum M + P must be finite,
+    or ``ValueError`` is raised.
     """
 
     j_alice: tuple[float, ...]
@@ -130,6 +131,9 @@ class AdditiveStructure:
             raise ValueError("eigenvalue labels must be finite")
         if not j_alice or not j_bob:
             raise ValueError("each party needs at least one basis label")
+        # every sum M + P lies between these two, so they are finite when all are
+        if not all(map(math.isfinite, (max(j_alice) + max(j_bob), min(j_alice) + min(j_bob)))):
+            raise ValueError("label sums M + P must be finite")
         alice_of, alice_groups = _group_labels(j_alice, eps)
         bob_of, bob_groups = _group_labels(j_bob, eps)
         # the shell table: the Bob group on the shell with each Alice group

@@ -2,7 +2,9 @@
 # Run the shipped entry point, `python -m addobs_certify certify`, `... validate`
 # and `... higgs`, as a subprocess on every case of tests/test_golden.py, in
 # text and JSON. Each report must match tests/data/golden/ byte for byte
-# (cmp) and each exit code the case's expected code.
+# (cmp) and each exit code the case's expected code. Each nonempty JSON report
+# must also parse as strict JSON (RFC 8259): a NaN or Infinity fails the case
+# even if its golden file holds it too.
 #
 # Usage, from the repository root: bash tests/golden_cli.sh [COMMAND...]
 # COMMAND defaults to `python -m addobs_certify` run on the checkout's src/.
@@ -27,6 +29,17 @@ for extra, stem, code in HIGGS_CASES:
 ') || exit 1
 [ -n "$cases" ] || { echo "no golden cases found"; exit 1; }
 
+# exit 1 unless the file named by the first argument is strict JSON
+strict_json='
+import json, sys
+def reject(name):
+    raise ValueError(f"{name} is not a JSON number")
+try:
+    json.loads(open(sys.argv[1], encoding="utf-8").read(), parse_constant=reject)
+except ValueError as exc:
+    sys.exit(f"not strict JSON: {exc}")
+'
+
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 failed=0
@@ -41,6 +54,9 @@ while read -r command stem code args; do
     checked=$((checked + 1))
     if [ "$got" -ne "$code" ]; then
       echo "FAIL $command $stem ($fmt): exit $got, expected $code"
+      failed=1
+    elif [ "$fmt" = json ] && [ -s "$out" ] && ! python -c "$strict_json" "$out"; then
+      echo "FAIL $command $stem ($fmt): report is not strict JSON"
       failed=1
     elif ! cmp "$out" "$golden"; then
       echo "FAIL $command $stem ($fmt): report differs from $golden"

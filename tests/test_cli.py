@@ -271,6 +271,17 @@ class TestHiggs:
         assert f"argument {flag}: must be positive" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_significance_is_domain_error(self, fmt, capsys):
+        # |a12| / sigma12 = 0.33 / 1e-320 overflows to inf, which no JSON number spells
+        argv = ["higgs", "--a12", "0.33", "--a13", "0.2", "--sigma12", "1e-320", "--format", fmt]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: significance")
+
+
 class TestParsing:
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 1
@@ -374,6 +385,24 @@ class TestBadLabels:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert ("ambiguous labels" if name == "ambiguous" else "no basis pair satisfies") in err
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("extreme", [1e308, -1e308])
+def test_overflowing_label_sum_is_domain_error(tmp_path, command, fmt, extreme, capsys):
+    # finite labels whose sum M + P at (0, 0) overflows: the row label sum of
+    # the off-shell entry rho[0, 0] would be reported as inf
+    doc = {
+        "dimA": 2, "dimB": 2, "jA": [extreme, 0], "jB": [extreme, 0], "jTotal": 0,
+        "matrix": [[0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.5]],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: label sums M + P must be finite\n"
 
 
 BOOLEAN_DOCS = {

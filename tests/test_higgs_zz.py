@@ -233,6 +233,13 @@ class TestSignificance:
         with pytest.raises(ValueError, match="central value must be finite"):
             Measurement(central, 0.1)
 
+    @pytest.mark.parametrize("central", [0.33, -1e300])
+    def test_overflowing_quotient_raises(self, central):
+        # finite inputs whose quotient |central| / sigma overflows to inf
+        with pytest.raises(ValueError, match="not finite"):
+            significance(Measurement(central, 1e-320))
+        assert significance(Measurement(central, 1.0)) == abs(central)
+
 
 class TestReproduceTables:
     def test_dataset_shape(self):

@@ -70,6 +70,15 @@ class TestAdditiveStructure:
         with pytest.raises(ValueError, match="finite"):
             AdditiveStructure((float("nan"), 0.0), (0.0,), 0.0)
 
+    @pytest.mark.parametrize("extreme", [1e308, -1e308])
+    def test_overflowing_label_sums_rejected(self, extreme):
+        # each label is finite; the largest (or least) sum M + P is not
+        with pytest.raises(ValueError, match="label sums M \\+ P must be finite"):
+            AdditiveStructure((extreme, 0.0), (extreme, 0.0), 0.0)
+        # the largest label of one party with the least of the other is finite
+        s = AdditiveStructure((extreme, 0.0), (-extreme, 0.0), 0.0)
+        assert s.shell_pairs == ((0, 0), (1, 1))
+
 
 def _near(integers):
     """Integers moved by k * 0.6e-9, |k| <= 3: label groups within 2 * EPS_J of each other."""
