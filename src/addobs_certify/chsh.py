@@ -45,7 +45,6 @@ from .structure import (
     EPS_ZERO,
     AdditiveStructure,
     _analysis,
-    _check_dims,
     _matrix_of,
 )
 
@@ -97,12 +96,7 @@ class BasisReordering:
 
     def apply(self, rho) -> np.ndarray:
         """Conjugate a matrix by the induced permutation of the product basis."""
-        mat = _matrix_of(rho)
-        if mat.shape[0] != self.d_a * self.d_b:
-            raise ValueError(
-                f"dimension mismatch: matrix has dim {mat.shape[0]}, "
-                f"reordering needs {self.d_a * self.d_b}"
-            )
+        mat = _matrix_of(rho, self.d_a * self.d_b)
         idx = np.asarray(self.product_order())
         return mat[np.ix_(idx, idx)].copy()
 
@@ -180,7 +174,7 @@ def reorder_basis(anchor: AnchorEntry, s: AdditiveStructure) -> BasisReordering:
 def _corner_block(two_by_two: np.ndarray, dim: int, tail: float) -> np.ndarray:
     """dim x dim matrix with a 2x2 corner and ``tail`` times identity after it."""
     if dim < 2:
-        raise ValueError("party dimension must be at least 2")
+        raise ValueError("both parties need dimension at least 2")
     out = np.zeros((dim, dim), dtype=complex)
     out[:2, :2] = two_by_two
     if dim > 2:
@@ -218,8 +212,6 @@ def build_o_operators(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray, np.nd
     O0 collects the Bob-tail identity part; Ox, Oy, Oz are the corner
     correlation parts along the respective Pauli axes.
     """
-    if d_a < 2 or d_b < 2:
-        raise ValueError("both parties need dimension at least 2")
     zero2 = np.zeros((2, 2), dtype=complex)
     alice_z = _corner_block(PAULI_Z, d_a, tail=1.0)
     alice_x = _corner_block(PAULI_X, d_a, tail=1.0)
@@ -239,11 +231,7 @@ def o_expectations(rho, d_a: int, d_b: int) -> OExpectations:
     """
     if d_a < 2 or d_b < 2:
         raise ValueError("both parties need dimension at least 2")
-    mat = _matrix_of(rho)
-    if mat.shape[0] != d_a * d_b:
-        raise ValueError(
-            f"dimension mismatch: matrix has dim {mat.shape[0]}, expected {d_a}*{d_b}"
-        )
+    mat = _matrix_of(rho, d_a * d_b)
     diag = mat.diagonal().real.reshape(d_a, d_b)
     o0 = float(np.sum(diag[0, 2:]) - np.sum(diag[1, 2:]) + np.sum(diag[2:, 2:]))
     c, oz, _ = _o_vector(diag, mat.reshape(d_a, d_b, d_a, d_b), 0, 0, 1, 1)
@@ -252,20 +240,14 @@ def o_expectations(rho, d_a: int, d_b: int) -> OExpectations:
 
 def f_value(rho, obs: ChshObservables) -> float:
     """CHSH score Tr(rho * [A1 (x) (B1+B2) + A2 (x) (B1-B2)])."""
-    mat = _matrix_of(rho)
-    dim = obs.a1.shape[0] * obs.b1.shape[0]
-    if mat.shape[0] != dim:
-        raise ValueError(
-            f"dimension mismatch: matrix has dim {mat.shape[0]}, observables need {dim}"
-        )
+    mat = _matrix_of(rho, obs.a1.shape[0] * obs.b1.shape[0])
     chsh_op = kron(obs.a1, obs.b1 + obs.b2) + kron(obs.a2, obs.b1 - obs.b2)
     return float(np.trace(mat @ chsh_op).real)
 
 
 def _validate_anchor(rho, anchor: AnchorEntry, s: AdditiveStructure) -> np.ndarray:
     """The matrix of ``rho``, once its dims fit ``s`` and ``anchor`` is an anchor of ``s``."""
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
+    mat = _matrix_of(rho, s.dim)
     m, p, n, q = anchor.m0, anchor.p0, anchor.n0, anchor.q0
     for party, idx, bound in (("Alice", m, s.d_a), ("Alice", n, s.d_a), ("Bob", p, s.d_b), ("Bob", q, s.d_b)):
         if not 0 <= idx < bound:

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import eigenvalues_hermitian, partial_trace
+from .linalg import _partial_trace, eigenvalues_hermitian
 from .structure import (
     EPS_PSD,
     EPS_ZERO,
@@ -26,7 +26,6 @@ from .structure import (
     Sector,
     SectorBlock,
     _analysis,
-    _check_dims,
     _check_tol,
     _matrix_of,
 )
@@ -208,7 +207,5 @@ def reduced_purity(rho, s: AdditiveStructure, party: str = "A") -> float:
 
     For a pure global state, a value below 1 is equivalent to entanglement.
     """
-    mat = _matrix_of(rho)
-    _check_dims(mat, s)
-    reduced = partial_trace(mat, s.d_a, s.d_b, keep=party)
+    reduced = _partial_trace(_matrix_of(rho, s.dim), s.d_a, s.d_b, party, "party")
     return float(np.trace(reduced @ reduced).real)

@@ -17,6 +17,12 @@ matrix + tol * I, with the eigensolve only when it fails (``_psd_min_eig``).
 The smallest eigenvalue of a Hermitian [[0, C], [C^dagger, 0]] is
 -sigma_max(C) (Jordan-Wielandt), so ``structure`` takes a cross block's
 minimum from the singular values of C.
+
+The functions that take a bipartite matrix (``partial_transpose``,
+``partial_trace``) read it through ``_square``, the package's one size
+check, which also rejects NaN and inf entries; ``structure._matrix_of``
+reads every state through it too. A NaN hermiticity defect fails the
+Hermitian check.
 """
 
 from __future__ import annotations
@@ -42,6 +48,17 @@ def as_square_matrix(a) -> np.ndarray:
     mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return mat
+
+
+def _square(a, dim: int, finite: bool = True) -> np.ndarray:
+    """``a`` as a dim x dim complex matrix; ``ValueError`` when it is not
+    square, has another size or, with ``finite``, has a NaN or inf entry."""
+    mat = as_square_matrix(a)
+    if mat.shape[0] != dim:
+        raise ValueError(f"dimension mismatch: matrix has dim {mat.shape[0]}, expected {dim}")
+    if finite and not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     return mat
 
 
@@ -71,10 +88,11 @@ def eigenvalues_hermitian(h, herm_tol: float = EPS_HERM) -> np.ndarray:
 
 def _hermitian(h, herm_tol: float = EPS_HERM) -> np.ndarray:
     """``h`` as a square complex matrix; ``ValueError`` when it is not
-    Hermitian within ``herm_tol``, with the defect in the message."""
+    Hermitian within ``herm_tol`` (a NaN defect included), with the defect
+    in the message."""
     mat = as_square_matrix(h)
     defect = hermiticity_defect(mat)
-    if defect > herm_tol:
+    if not defect <= herm_tol:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {herm_tol:.3e}"
         )
@@ -112,25 +130,23 @@ def partial_transpose(rho, d_a: int, d_b: int) -> np.ndarray:
     input entry at (m*d_b + p, n*d_b + q). The operation is an involution
     and preserves trace and hermiticity.
     """
-    mat = as_square_matrix(rho)
-    if d_a < 1 or d_b < 1 or mat.shape[0] != d_a * d_b:
-        raise ValueError(
-            f"dimension mismatch: matrix has dim {mat.shape[0]}, expected {d_a}*{d_b}"
-        )
-    out = mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1)
+    if d_a < 1 or d_b < 1:
+        raise ValueError(f"party dimensions must be at least 1, got {d_a} and {d_b}")
+    out = _square(rho, d_a * d_b).reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1)
     return out.reshape(d_a * d_b, d_a * d_b).copy()
 
 
 def partial_trace(rho, d_a: int, d_b: int, keep: str = "A") -> np.ndarray:
     """Reduced matrix of one party, tracing the other one out."""
-    mat = as_square_matrix(rho)
-    if mat.shape[0] != d_a * d_b:
-        raise ValueError(
-            f"dimension mismatch: matrix has dim {mat.shape[0]}, expected {d_a}*{d_b}"
-        )
+    return _partial_trace(_square(rho, d_a * d_b), d_a, d_b, keep)
+
+
+def _partial_trace(mat: np.ndarray, d_a: int, d_b: int, keep: str, name: str = "keep") -> np.ndarray:
+    """``partial_trace`` of a checked d_a*d_b matrix; the error for a bad
+    ``keep`` calls it ``name``."""
     tensor = mat.reshape(d_a, d_b, d_a, d_b)
     if keep == "A":
         return np.einsum("ipjp->ij", tensor)
     if keep == "B":
         return np.einsum("pipj->ij", tensor)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    raise ValueError(f"{name} must be 'A' or 'B', got {keep!r}")

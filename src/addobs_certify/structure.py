@@ -43,6 +43,7 @@ from .linalg import (
     EPS_HERM,
     _hermitian,
     _psd_min_eig,
+    _square,
     as_square_matrix,
     eigenvalues_hermitian,
     partial_transpose,
@@ -401,15 +402,16 @@ def _live_indices(mat: np.ndarray) -> np.ndarray | None:
     return np.flatnonzero(bits.any(axis=1) | bits.any(axis=0).reshape(-1, 2).any(axis=1))
 
 
-def _matrix_of(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else as_square_matrix(rho)
+def _matrix_of(rho, dim: int) -> np.ndarray:
+    """The dim x dim matrix of ``rho``, the one gate through which every
+    public function that takes a state reads it; ``ValueError`` otherwise.
 
-
-def _check_dims(rho_mat: np.ndarray, s: AdditiveStructure) -> None:
-    if rho_mat.shape[0] != s.dim:
-        raise ValueError(
-            f"dimension mismatch: matrix has dim {rho_mat.shape[0]}, structure needs {s.dim}"
-        )
+    A ``DensityMatrix`` is validated already, so only its size is compared:
+    no pass over its entries. A raw array must be square, dim x dim and
+    finite (``linalg._square``), since a NaN entry fails every comparison
+    with zero that the texture, crossed-entry and anchor tests make.
+    """
+    return _square(rho.matrix, dim, finite=False) if isinstance(rho, DensityMatrix) else _square(rho, dim)
 
 
 @dataclass(frozen=True)
@@ -448,8 +450,7 @@ class _Analysis:
     """
 
     def __init__(self, rho, s: AdditiveStructure):
-        self.mat = _matrix_of(rho)
-        _check_dims(self.mat, s)
+        self.mat = _matrix_of(rho, s.dim)
         self.s = s
         self.live = rho._live if isinstance(rho, DensityMatrix) else _live_indices(self.mat)
         self._scan, self._mins = None, {}  # the last scan, and block k's (lambda_min, trace)

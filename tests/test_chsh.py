@@ -275,8 +275,14 @@ class TestOExpectations:
     @pytest.mark.parametrize("d_a,d_b", [(1, 1), (1, 3), (3, 1)])
     def test_a_party_of_dimension_one_rejected(self, d_a, d_b):
         mat = np.eye(d_a * d_b, dtype=complex) / (d_a * d_b)
-        with pytest.raises(ValueError, match="^both parties need dimension at least 2$"):
-            o_expectations(mat, d_a, d_b)
+        # one wording for the operators, the settings and the entry sums
+        for call in (
+            lambda: o_expectations(mat, d_a, d_b),
+            lambda: build_o_operators(d_a, d_b),
+            lambda: build_observables(0.5, 0.5, d_a, d_b),
+        ):
+            with pytest.raises(ValueError, match="^both parties need dimension at least 2$"):
+                call()
 
     def test_same_bits_as_the_entry_sums_of_the_identity_order(self):
         # the sums over the unreordered matrix, spelled out: o_expectations

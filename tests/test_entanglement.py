@@ -677,6 +677,11 @@ class TestReducedPurity:
         rho, s = rho_from_params(params)
         assert reduced_purity(rho, s, "A") == pytest.approx(1 / 3, abs=1e-12)
 
+    def test_a_bad_party_is_named_party(self):
+        s, rho = bell_system()
+        with pytest.raises(ValueError, match="^party must be 'A' or 'B', got 'a'$"):
+            reduced_purity(rho, s, "a")
+
     def test_bounds_on_random_states(self):
         rng = make_rng(14)
         for _ in range(25):

@@ -111,6 +111,12 @@ class TestEigenvaluesHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("mat", [[[np.nan]], [[1.0, np.nan], [np.nan, 1.0]]])
+    def test_a_nan_defect_fails_the_hermitian_check(self, mat):
+        # NaN compares false with herm_tol, so "defect > tol" would let it by
+        with pytest.raises(ValueError, match="^matrix is not Hermitian: defect nan exceeds "):
+            eigenvalues_hermitian(np.array(mat))
+
 
 class TestPartialTranspose:
     def test_diagonal_invariance(self):
