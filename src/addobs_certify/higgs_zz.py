@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import _f_max
-from .linalg import _psd_min_eig
-from .structure import EPS_PSD, EPS_TR, AdditiveStructure, DensityMatrix
+from .structure import AdditiveStructure, DensityMatrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,10 +45,13 @@ INPUT_ROUNDING = 0.005
 class HiggsZZParams:
     """Entries of the 3x3 core of the constrained ZZ density matrix.
 
-    The diagonal must sum to one and the core must be positive
-    semi-definite. ``a12 == a23`` is not enforced here: it is a physics
-    consequence of the production mechanism, not a validity condition,
-    and holds automatically when built from angular coefficients.
+    The parameters are physical exactly when the core is a density matrix,
+    so construction validates it as a ``DensityMatrix`` at the default
+    tolerances: finite, Hermitian (a complex diagonal entry is not), unit
+    trace and positive semi-definite, else ``StateValidationError``.
+    ``a12 == a23`` is not enforced here: it is a physics consequence of the
+    production mechanism, not a validity condition, and holds automatically
+    when built from angular coefficients.
     """
 
     a11: float
@@ -60,17 +62,7 @@ class HiggsZZParams:
     a23: complex
 
     def __post_init__(self):
-        core = self.core()
-        if not np.isfinite(core).all():
-            raise ValueError("core entries must be finite")
-        total = self.a11 + self.a22 + self.a33
-        if abs(total - 1.0) > EPS_TR:
-            raise ValueError(f"diagonal sums to {total!r}, expected 1")
-        min_eig = _psd_min_eig(core, EPS_PSD)
-        if min_eig is not None:
-            raise ValueError(
-                f"parameters give a non-PSD matrix: min eigenvalue {min_eig:.3e}"
-            )
+        DensityMatrix(self.core())
 
     def core(self) -> np.ndarray:
         return np.array(

@@ -72,9 +72,14 @@ def kron(a, b) -> np.ndarray:
 
 
 def hermiticity_defect(a) -> float:
-    """Largest entrywise distance from ``a`` to its conjugate transpose."""
+    """Largest entrywise distance from ``a`` to its conjugate transpose.
+
+    An inf entry gives inf - inf, so the defect is NaN, without numpy's
+    invalid-value warning; ``_hermitian`` rejects a NaN defect.
+    """
     mat = as_square_matrix(a)
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
 
 
 def eigenvalues_hermitian(h, herm_tol: float = EPS_HERM) -> np.ndarray:

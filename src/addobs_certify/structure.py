@@ -348,7 +348,7 @@ class DensityMatrix:
         # one strided pass for the adjoint, laid out C-contiguous so the two
         # uses below run over contiguous memory (the same values as conj().T)
         adjoint = np.conjugate(sub.T, order="C")
-        defect = float(np.max(np.abs(sub - adjoint))) if sub.size else 0.0
+        defect = float(np.abs(sub - adjoint).max()) if sub.size else 0.0
         if defect > self.herm_tol:
             raise StateValidationError(
                 f"not Hermitian: defect {defect:.3e} exceeds {self.herm_tol:.3e}"
@@ -359,7 +359,7 @@ class DensityMatrix:
         else:
             mat = np.zeros((dim, dim), dtype=complex)
             mat[np.ix_(live, live)] = sub
-        tr = float(np.trace(mat).real)
+        tr = float(mat.trace().real)
         if abs(tr - 1.0) > self.trace_tol:
             raise StateValidationError(f"trace {tr!r} differs from 1 beyond tolerance")
         min_eig = _psd_min_eig(sub, self.psd_tol)

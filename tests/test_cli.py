@@ -240,7 +240,9 @@ class TestHiggs:
 
     def test_non_psd_values_exit_2(self, capsys):
         assert cli.main(["higgs", "--a12", "0.9", "--a13", "0.0"]) == 2
-        assert "eigenvalue" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not positive semi-definite: min eigenvalue -8.675e-01\n"
 
     def test_missing_values_usage_error(self, capsys):
         assert cli.main(["higgs"]) == 1

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addobs_certify.chsh import f_max_closed_form, find_anchor_entries
 from addobs_certify.entanglement import VerdictStatus, certify
@@ -26,7 +28,7 @@ from addobs_certify.higgs_zz import (
     rho_from_params,
     significance,
 )
-from addobs_certify.structure import EPS_PSD
+from addobs_certify.structure import EPS_PSD, StateValidationError
 
 from helpers import make_rng
 
@@ -48,12 +50,17 @@ class TestParams:
         assert certify(rho, s).status is VerdictStatus.ENTANGLED_CERTIFIED
 
     def test_trace_violation_rejected(self):
-        with pytest.raises(ValueError, match="sums"):
+        with pytest.raises(StateValidationError, match="trace 1.5 differs from 1"):
             HiggsZZParams(0.5, 0.5, 0.5, 0j, 0j, 0j)
 
     def test_non_psd_rejected(self):
-        with pytest.raises(ValueError, match="non-PSD"):
+        with pytest.raises(StateValidationError, match="not positive semi-definite"):
             HiggsZZParams(0.0, 1.0, 0.0, complex(0.9), 0j, 0j)
+
+    def test_complex_diagonal_rejected(self):
+        # the imaginary parts cancel in the trace, but the core is not Hermitian
+        with pytest.raises(StateValidationError, match="not Hermitian: defect 6.000e-01"):
+            HiggsZZParams(0.4 + 0.3j, 0.2, 0.4 - 0.3j, 0.1, 0, 0)
 
     @pytest.mark.parametrize("a12", [0.2, 1 / 3, 1 / 3 + 2e-9, 0.5, 0.9])
     def test_psd_decision_and_message_follow_the_eigensolve(self, a12):
@@ -65,9 +72,9 @@ class TestParams:
         if min_eig >= -EPS_PSD:
             HiggsZZParams(*entries)
             return
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(StateValidationError) as info:
             HiggsZZParams(*entries)
-        assert str(info.value) == f"parameters give a non-PSD matrix: min eigenvalue {min_eig:.3e}"
+        assert str(info.value) == f"not positive semi-definite: min eigenvalue {min_eig:.3e}"
 
     @pytest.mark.parametrize(
         "entries",
@@ -81,6 +88,31 @@ class TestParams:
     def test_non_finite_entries_rejected(self, entries):
         with pytest.raises(ValueError, match="finite"):
             HiggsZZParams(*entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a11=st.floats(0.0, 1.0),
+        share=st.floats(0.0, 1.0),
+        trace_offset=st.sampled_from([0.0, 1e-10, -1e-10, 1e-8]),
+        diag_imag=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+        off=st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6),
+    )
+    def test_constructed_params_give_a_state(self, a11, share, trace_offset, diag_imag, off):
+        # diagonal near the simplex, complex off-diagonals and, sometimes, an
+        # imaginary part on the diagonal (cancelling in the trace): whatever
+        # constructs is a core that rho_from_params accepts
+        a22 = share * (1.0 - a11)
+        a33 = 1.0 - a11 - a22 + trace_offset
+        entries = (
+            complex(a11, diag_imag), a22, complex(a33, -diag_imag),
+            complex(off[0], off[1]), complex(off[2], off[3]), complex(off[4], off[5]),
+        )
+        try:
+            params = HiggsZZParams(*entries)
+        except ValueError:
+            return
+        rho, _ = rho_from_params(params)
+        assert rho.dim == 9
 
     def test_entries_placed_on_shell(self):
         params = params_from_measured(-0.33, 0.20)

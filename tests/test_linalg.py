@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,11 +113,23 @@ class TestEigenvaluesHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("mat", [[[np.nan]], [[1.0, np.nan], [np.nan, 1.0]]])
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            [[np.nan]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.inf]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+        ],
+    )
     def test_a_nan_defect_fails_the_hermitian_check(self, mat):
-        # NaN compares false with herm_tol, so "defect > tol" would let it by
-        with pytest.raises(ValueError, match="^matrix is not Hermitian: defect nan exceeds "):
-            eigenvalues_hermitian(np.array(mat))
+        # NaN compares false with herm_tol, so "defect > tol" would let it by;
+        # an inf entry gives inf - inf, a NaN defect, with no warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(hermiticity_defect(mat))
+            with pytest.raises(ValueError, match="^matrix is not Hermitian: defect nan exceeds "):
+                eigenvalues_hermitian(np.array(mat))
 
 
 class TestPartialTranspose:
